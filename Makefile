@@ -1,6 +1,6 @@
 # Convenience targets; `just` users get the same recipes from ./justfile.
 
-.PHONY: build test test-workspace bench-smoke fleet-smoke fleet-scale fleet-bench fleet-bench-smoke net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy ci
+.PHONY: build test test-workspace bench-smoke fleet-smoke fleet-scale fleet-bench fleet-bench-smoke net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke perfbench-test fmt clippy ci
 
 build:
 	cargo build --release
@@ -130,6 +130,14 @@ net-bench:
 # (pool ratio 0.85, no absolute floors) to tolerate shared-runner noise.
 net-bench-smoke:
 	cargo run --release -p eilid_bench --bin net -- --quick --json /tmp/BENCH_net.json --min-pool-ratio 0.85
+
+# The benchmark's own self-tests at tiny scale: every declared metric
+# reported with its unit, every workload oracle passing, exact work
+# counts repeating across traced runs. perfbench is a separate cargo
+# workspace calling the library APIs directly, so an API change that
+# breaks the benchmark fails here first.
+perfbench-test:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 fmt:
 	cargo fmt --all --check

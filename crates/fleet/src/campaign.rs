@@ -32,8 +32,7 @@
 //!
 //! # Resumable campaigns
 //!
-//! [`Campaign::run`] drives a rollout to completion in one call, but the
-//! engine underneath is a stateful driver: [`Campaign::begin`] returns a
+//! The engine is a stateful driver: [`Campaign::begin`] returns a
 //! [`CampaignRun`] whose [`CampaignRun::step`] executes exactly one
 //! wave. Between waves the run can be [paused](CampaignRun::pause) into
 //! a [`PausedCampaign`] — a self-contained, byte-serialisable record
@@ -66,10 +65,7 @@ use std::collections::BTreeMap;
 
 use eilid::RunOutcome;
 use eilid_casu::wire::{self, CodecError, Reader};
-use eilid_casu::{
-    AttestationVerifier, DeltaUpdateRequest, DeviceKey, MeasurementScheme, MemoryLayout,
-    UpdateAuthority,
-};
+use eilid_casu::{DeltaUpdateRequest, DeviceKey, MeasurementScheme, MemoryLayout, UpdateAuthority};
 use eilid_msp430::{Memory, ADDRESS_SPACE};
 use eilid_workloads::WorkloadId;
 
@@ -78,6 +74,7 @@ use crate::error::FleetError;
 use crate::exec::parallel_map_mut;
 use crate::fleet::Fleet;
 use crate::report::LedgerEvent;
+use crate::trust::{pmem_challenge, TrustCore};
 use crate::verifier::Verifier;
 
 /// Configuration of one staged OTA campaign.
@@ -441,7 +438,6 @@ impl WaveExecutor for LocalExecutor<'_> {
         spec: &WaveSpec<'_>,
     ) -> Result<WaveRollout, FleetError> {
         let threads = self.fleet.threads();
-        let root = self.verifier.root().clone();
         let scheme = self.fleet.scheme();
         // Delta updates are encoded against the cohort's *current*
         // golden bytes in the patch range (the base every untampered
@@ -461,8 +457,9 @@ impl WaveExecutor for LocalExecutor<'_> {
         // Probe-challenge nonces come from the verifier's single
         // strictly-increasing nonce domain (shared with sweeps), so no
         // attestation challenge to a device key ever repeats.
+        let probe_nonce_base = self.verifier.reserve_challenge_nonces(wave);
         let params = WaveParams {
-            root: &root,
+            trust: self.verifier.trust(),
             target: spec.target,
             payload: spec.payload,
             expected_after: spec.expected_after,
@@ -470,7 +467,7 @@ impl WaveExecutor for LocalExecutor<'_> {
             smoke_cycles: spec.smoke_cycles,
             version: spec.version,
             delta_base: spec.delta.then_some(base.as_slice()),
-            probe_nonce_base: self.verifier.reserve_challenge_nonces(wave),
+            probe_nonce_base,
         };
         let mut devices = self.fleet.devices_by_ids_mut(wave);
         Ok(roll_out_wave(&mut devices, threads, &params))
@@ -483,17 +480,20 @@ impl WaveExecutor for LocalExecutor<'_> {
         target: u16,
         snapshots: &BTreeMap<DeviceId, PreUpdateSnapshot>,
     ) -> Result<RollbackOutcome, FleetError> {
-        let root = self.verifier.root().clone();
         let threads = self.fleet.threads();
         Ok(roll_back(
-            self.fleet, &root, ids, target, snapshots, threads,
+            self.fleet,
+            self.verifier.trust(),
+            ids,
+            target,
+            snapshots,
+            threads,
         ))
     }
 
     fn promote(&mut self, cohort: WorkloadId, golden: &Memory, measurement: [u8; 32]) {
         self.fleet.cohort_mut(cohort).expect("cohort exists").golden = golden.clone();
-        self.verifier
-            .promote_measurement(cohort, measurement, golden);
+        self.verifier.trust().promote(cohort, golden, measurement);
     }
 
     fn record(&mut self, events: Vec<LedgerEvent>) {
@@ -519,28 +519,6 @@ impl Campaign {
     pub fn new(config: CampaignConfig) -> Result<Self, FleetError> {
         config.validate()?;
         Ok(Campaign { config })
-    }
-
-    /// Runs the campaign over `fleet` to completion, drawing
-    /// authenticated update requests from per-device authorities derived
-    /// from the verifier's root key.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::UnknownCohort`] if no fleet device runs the
-    /// configured cohort firmware.
-    #[deprecated(note = "drive campaigns through the unified operator plane: \
-                `eilid_fleet::ops::FleetOps::run_campaign` on a \
-                `LocalOps` (in-process) or `eilid_net` `RemoteOps` \
-                (wire-driven) backend")]
-    pub fn run(
-        &self,
-        fleet: &mut Fleet,
-        verifier: &mut Verifier,
-    ) -> Result<CampaignReport, FleetError> {
-        let mut run = self.begin(fleet, verifier)?;
-        while run.step(fleet, verifier)? != CampaignStatus::Finished {}
-        Ok(run.report().expect("finished run has a report"))
     }
 
     /// Starts the campaign against any [`WaveExecutor`] and returns the
@@ -1141,7 +1119,7 @@ fn read_ids(reader: &mut Reader<'_>) -> Result<Vec<DeviceId>, CodecError> {
 /// `incomplete` and are recorded [`LedgerEvent::RollbackIncomplete`].
 fn roll_back(
     fleet: &mut Fleet,
-    root: &DeviceKey,
+    trust: &TrustCore,
     ids: &[DeviceId],
     target: u16,
     snapshots: &BTreeMap<DeviceId, PreUpdateSnapshot>,
@@ -1154,7 +1132,7 @@ fn roll_back(
             let snapshot = snapshots
                 .get(&device.id())
                 .expect("rolled-back devices were updated and snapshotted");
-            let key = root.derive(device.id());
+            let key = trust.device_key(device.id());
             let mut authority = resumed_authority(&key, device);
             let request = authority.authorize(target, &snapshot.patch_range);
             let result = device.apply_update(&request);
@@ -1222,8 +1200,8 @@ fn resumed_authority(key: &DeviceKey, device: &SimDevice) -> UpdateAuthority {
 /// Everything one in-process wave rollout needs besides the devices
 /// themselves.
 struct WaveParams<'a> {
-    /// Fleet root key; per-device keys are derived from it.
-    root: &'a DeviceKey,
+    /// The verifier's trust core: cached device keys, probe checks.
+    trust: &'a TrustCore,
     /// First PMEM address the patch writes.
     target: u16,
     /// The patch bytes.
@@ -1284,7 +1262,7 @@ fn roll_out_wave(
     // Pass 1 (parallel): snapshot, update (delta with same-nonce
     // full-image fallback), attest, reboot into the new firmware.
     let pass = parallel_map_mut(devices, threads, |device| {
-        let key = params.root.derive(device.id());
+        let key = params.trust.device_key(device.id());
         let mut authority = resumed_authority(&key, device).with_version(params.version);
         let request = authority.authorize(params.target, params.payload);
         let nonce = request.nonce;
@@ -1349,14 +1327,14 @@ fn roll_out_wave(
         // memoization gate: only devices whose attested measurement
         // *equals* the expected post-patch golden may inherit the
         // reference verdict.
-        let attest_verifier = AttestationVerifier::with_key(&key);
-        let challenge = attest_verifier.challenge_pmem(
+        let challenge = pmem_challenge(
             device.device().layout(),
             params.probe_nonce_base + device.id(),
         );
         let report = device.attest(challenge);
-        let attested = attest_verifier
-            .verify(&challenge, &report, Some(&params.expected_after))
+        let attested = params
+            .trust
+            .verify_expecting(device.id(), &challenge, &report, &params.expected_after)
             .is_ok();
 
         // Reboot into the new firmware; whether this device *runs* it

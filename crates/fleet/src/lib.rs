@@ -10,13 +10,18 @@
 //!   single fleet root key ([`eilid_casu::DeviceKey::derive`]). Device
 //!   construction instruments each distinct firmware once and clones the
 //!   prototype, so spinning up thousands of devices stays cheap.
+//! * [`TrustCore`] — the one verifier-side trust decision: root key,
+//!   per-cohort goldens ([`CohortSnapshot`]), a derive-once device-key
+//!   cache sharded by `device_id % SHARD_COUNT`, the classification
+//!   rule, golden promotion and the [`eilid_casu::CryptoProvider`] every
+//!   MAC runs on. The fleet [`Verifier`] and the `eilid_net` gateway
+//!   each own one, so the two cannot drift.
 //! * [`Verifier`] — issues batched attestation challenges across the
-//!   fleet, verifies the reports on a multi-threaded scheduler
-//!   (`std::thread::scope` + per-worker shards, no async runtime) and
-//!   aggregates per-device health into a [`FleetReport`]. Sweep state is
-//!   sharded by `device_id % threads`, and each shard caches the device
-//!   keys it has derived, so key derivation happens once per device ever
-//!   rather than once per sweep.
+//!   fleet and verifies the reports on the persistent [`WorkerPool`]
+//!   (one job per non-empty shard, no async runtime), aggregating
+//!   per-device health into a [`FleetReport`]. Per-device and
+//!   aggregated sweeps are one verification pass; aggregation only
+//!   folds its reports into evidence trees.
 //! * incremental measurement — by default
 //!   ([`eilid_casu::MeasurementScheme::Merkle`]) devices answer
 //!   challenges from an [`eilid_casu::IncrementalMeasurer`]: a chunked
@@ -79,6 +84,7 @@ pub mod fleet;
 pub mod ops;
 pub mod pool;
 pub mod report;
+pub mod trust;
 pub mod verifier;
 
 pub use campaign::{
@@ -96,4 +102,5 @@ pub use ops::{
 };
 pub use pool::{PoolBusy, WorkerPool};
 pub use report::{DeviceHealth, FleetReport, HealthClass, Ledger, LedgerEvent};
-pub use verifier::{CohortSnapshot, ServiceSnapshot, Verifier, SHARD_COUNT};
+pub use trust::{CohortSnapshot, TrustCore, TrustPass, SHARD_COUNT};
+pub use verifier::{ServiceSnapshot, Verifier};

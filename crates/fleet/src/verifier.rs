@@ -1,18 +1,14 @@
-//! The fleet verifier: batched attestation sweeps on the persistent
-//! worker pool, sharded sweep state with cached device keys, and
-//! measurement bookkeeping.
+//! The fleet verifier: attestation sweeps on the persistent worker
+//! pool, judged by the verifier's [`TrustCore`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use eilid_casu::agg::{evidence_leaf, shard_agg_key, AggProof, EvidenceTree};
 use eilid_casu::{
-    AttestError, AttestationVerifier, CryptoProvider, DeviceKey, MeasurementScheme, MemoryLayout,
-    SoftwareProvider,
+    AttestationReport, CryptoProvider, DeviceKey, MeasurementScheme, SoftwareProvider,
 };
-use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
 
 use crate::device::{DeviceId, SimDevice};
@@ -20,109 +16,19 @@ use crate::fleet::Fleet;
 use crate::ops::{class_index, AggSweepSummary, SweepSummary};
 use crate::pool::WorkerPool;
 use crate::report::{DeviceHealth, FleetReport, HealthClass, LedgerEvent};
+use crate::trust::{pmem_challenge, shard_of, CohortSnapshot, TrustCore, SHARD_COUNT};
 
-/// One shard's sweep job, ready for [`WorkerPool::scope`].
-type ShardJob<'env> = (usize, Box<dyn FnOnce() -> Vec<DeviceHealth> + Send + 'env>);
-
-/// One shard's aggregated-sweep job for [`WorkerPool::scope`].
-type AggShardJob<'env> = (usize, Box<dyn FnOnce() -> ShardAggregate + Send + 'env>);
-
-/// What one shard's aggregated-sweep job produces: the signed aggregate
-/// proof over the shard's evidence tree, plus only the *suspect*
-/// verdicts — clean devices are represented solely by the aggregate.
-#[derive(Debug, Clone)]
-struct ShardAggregate {
+/// One shard's share of a verification pass: every verdict with the
+/// report it judged, in ascending device-id order (the canonical leaf
+/// order every aggregator must agree on).
+#[derive(Debug)]
+struct ShardPass {
     shard: u16,
-    devices: usize,
-    counts: [usize; 4],
-    proof: AggProof,
-    suspects: Vec<DeviceHealth>,
+    checked: Vec<(DeviceHealth, AttestationReport)>,
 }
 
-/// Number of sweep shards — the unit device-key caches are keyed by.
-///
-/// Deliberately **independent of the worker-thread count** and fixed for
-/// the verifier's lifetime: devices map to shards by `id % SHARD_COUNT`
-/// forever, so changing the sweep parallelism between sweeps (see
-/// [`Verifier::set_parallelism`]) re-routes shards to workers but can
-/// never orphan a cached key. (The PR 2 design keyed shards by
-/// `id % threads`, which silently abandoned every cache when the caller
-/// asked for a different thread count.)
-pub const SHARD_COUNT: usize = 16;
-
-/// Known-good measurements of one firmware cohort: the current version
-/// plus every previous version still considered "stale but authentic",
-/// the memory layout the cohort's devices attest over, and the golden
-/// memory image itself (campaigns patch a copy of it to derive the
-/// expected post-update measurement — the networked gateway gets its
-/// copy through [`ServiceSnapshot`]).
-#[derive(Debug, Clone)]
-pub(crate) struct MeasurementHistory {
-    pub(crate) current: [u8; 32],
-    pub(crate) previous: Vec<[u8; 32]>,
-    pub(crate) layout: MemoryLayout,
-    pub(crate) golden: Memory,
-}
-
-/// Classifies one verified-or-not report measurement against a golden
-/// history — the single classification rule the in-process verifier and
-/// the networked gateway both apply. Allocation-free: it sits on the
-/// per-report verification hot path of both.
-fn classify_measurement(
-    current: &[u8; 32],
-    previous: &[[u8; 32]],
-    verified: Result<(), AttestError>,
-    measurement: &[u8; 32],
-) -> (HealthClass, Option<AttestError>) {
-    match verified {
-        Err(error) => (HealthClass::Unverified, Some(error)),
-        Ok(()) if measurement == current => (HealthClass::Attested, None),
-        Ok(()) if previous.contains(measurement) => (HealthClass::Stale, None),
-        Ok(()) => (
-            HealthClass::Tampered,
-            Some(AttestError::UnexpectedMeasurement),
-        ),
-    }
-}
-
-impl MeasurementHistory {
-    /// Classifies one verified-or-not report measurement against this
-    /// history.
-    pub(crate) fn classify(
-        &self,
-        verified: Result<(), AttestError>,
-        measurement: &[u8; 32],
-    ) -> (HealthClass, Option<AttestError>) {
-        classify_measurement(&self.current, &self.previous, verified, measurement)
-    }
-}
-
-/// Per-shard sweep state. Devices are assigned to shards by
-/// `id % SHARD_COUNT`, which is stable across sweeps *and* across
-/// parallelism changes, so a shard's key cache keeps hitting for the
-/// same devices forever. During a sweep each pool worker owns the shards
-/// routed to it exclusively, so no cross-thread synchronisation is ever
-/// needed.
-#[derive(Debug, Clone, Default)]
-struct SweepShard {
-    /// Device keys derived once from the fleet root, then reused.
-    keys: HashMap<DeviceId, DeviceKey>,
-    /// How many derivations this shard ever performed (each device key
-    /// is derived exactly once — the regression witness for the
-    /// shard-stability guarantee).
-    derivations: u64,
-}
-
-impl SweepShard {
-    /// The cached (or newly derived and cached) key of `device`.
-    fn key(&mut self, root: &DeviceKey, device: DeviceId) -> &DeviceKey {
-        let derivations = &mut self.derivations;
-        self.keys.entry(device).or_insert_with(|| {
-            *derivations += 1;
-            root.derive(device)
-        })
-    }
-}
+/// One shard's verification job, ready for [`WorkerPool::scope`].
+type ShardJob<'env> = (usize, Box<dyn FnOnce() -> ShardPass + Send + 'env>);
 
 /// Exportable, self-contained snapshot of the verifier's trust state —
 /// what the `eilid_net` attestation gateway is provisioned with. The
@@ -144,52 +50,16 @@ pub struct ServiceSnapshot {
     pub nonce_span: u64,
 }
 
-/// One cohort's golden state inside a [`ServiceSnapshot`].
-#[derive(Debug, Clone)]
-pub struct CohortSnapshot {
-    /// Layout the cohort's devices attest over.
-    pub layout: MemoryLayout,
-    /// The current golden measurement.
-    pub current: [u8; 32],
-    /// Previous still-authentic measurements ("stale").
-    pub previous: Vec<[u8; 32]>,
-    /// The golden memory image itself — what a gateway-resident campaign
-    /// patches (on a copy) to compute the expected post-update
-    /// measurement, and promotes on completion.
-    pub golden: Memory,
-}
-
-impl CohortSnapshot {
-    /// Classifies a verified-or-not measurement exactly as the fleet
-    /// verifier would (same rule, no allocation — this runs once per
-    /// networked report).
-    pub fn classify(
-        &self,
-        verified: Result<(), AttestError>,
-        measurement: &[u8; 32],
-    ) -> (HealthClass, Option<AttestError>) {
-        classify_measurement(&self.current, &self.previous, verified, measurement)
-    }
-}
-
 /// The trusted fleet verifier.
 ///
-/// Holds the fleet root key (from which every device key is derived,
-/// then cached in stable shards), the per-cohort golden measurements,
-/// the measurement scheme the fleet was enrolled under, the challenge
-/// nonce state, and the persistent [`WorkerPool`] sweeps run on.
+/// Owns the fleet's [`TrustCore`] (root key, goldens, the sharded
+/// derive-once key cache, the crypto backend), the challenge nonce
+/// state, and the persistent [`WorkerPool`] sweeps run on.
 #[derive(Debug)]
 pub struct Verifier {
-    root: DeviceKey,
-    expected: BTreeMap<WorkloadId, MeasurementHistory>,
-    scheme: MeasurementScheme,
-    shards: Vec<SweepShard>,
+    trust: TrustCore,
     pool: WorkerPool,
     next_nonce: u64,
-    /// Backend for verifier-side bulk crypto (aggregated sweeps route
-    /// MAC recomputation and tree hashing through it; the per-device
-    /// sweep keeps the scalar path). All backends are bit-compatible.
-    provider: Arc<dyn CryptoProvider>,
 }
 
 impl Clone for Verifier {
@@ -198,13 +68,9 @@ impl Clone for Verifier {
     /// worker threads are not shareable state.
     fn clone(&self) -> Self {
         Verifier {
-            root: self.root.clone(),
-            expected: self.expected.clone(),
-            scheme: self.scheme,
-            shards: self.shards.clone(),
+            trust: self.trust.clone(),
             pool: WorkerPool::new(self.pool.workers(), SHARD_COUNT, SHARD_COUNT),
             next_nonce: self.next_nonce,
-            provider: Arc::clone(&self.provider),
         }
     }
 }
@@ -212,67 +78,67 @@ impl Clone for Verifier {
 impl Verifier {
     /// Enrolls a fleet: records each cohort's golden measurement (under
     /// the fleet's measurement scheme, over the layout the cohort's
-    /// devices were actually built with), sizes the stable shard set,
-    /// and spins up the persistent worker pool with one worker per
-    /// fleet thread.
+    /// devices were actually built with) and spins up the persistent
+    /// worker pool with one worker per fleet thread.
     pub(crate) fn enroll(root: DeviceKey, fleet: &Fleet) -> Self {
         let scheme = fleet.scheme();
-        let mut expected = BTreeMap::new();
-        for cohort in fleet.cohort_ids() {
-            let state = fleet.cohort(cohort).expect("cohort exists");
-            expected.insert(
-                cohort,
-                MeasurementHistory {
+        let cohorts = fleet
+            .cohort_ids()
+            .into_iter()
+            .map(|cohort| {
+                let state = fleet.cohort(cohort).expect("cohort exists");
+                let golden = CohortSnapshot {
+                    layout: state.layout.clone(),
                     current: scheme.measure_pmem(&state.golden, &state.layout),
                     previous: Vec::new(),
-                    layout: state.layout.clone(),
                     golden: state.golden.clone(),
-                },
-            );
-        }
+                };
+                (cohort, golden)
+            })
+            .collect();
         Verifier {
-            root,
-            expected,
-            scheme,
-            shards: vec![SweepShard::default(); SHARD_COUNT],
+            trust: TrustCore::new(root, scheme, cohorts, Arc::new(SoftwareProvider)),
             pool: WorkerPool::new(fleet.threads(), SHARD_COUNT, SHARD_COUNT),
             next_nonce: 1,
-            provider: Arc::new(SoftwareProvider),
         }
     }
 
-    /// Routes verifier-side bulk crypto (aggregated sweeps) through
-    /// `provider`. Backends are bit-compatible, so this changes cost,
-    /// never verdicts.
-    pub fn set_provider(&mut self, provider: Arc<dyn CryptoProvider>) {
-        self.provider = provider;
+    /// The verifier's trust core.
+    pub(crate) fn trust(&self) -> &TrustCore {
+        &self.trust
     }
 
-    /// The crypto backend aggregated sweeps run on.
+    /// Routes the verifier's crypto through `provider`. Backends are
+    /// bit-compatible, so this changes cost, never verdicts.
+    pub fn set_provider(&mut self, provider: Arc<dyn CryptoProvider>) {
+        self.trust.set_provider(provider);
+    }
+
+    /// The crypto backend sweeps run on.
     pub fn provider(&self) -> &Arc<dyn CryptoProvider> {
-        &self.provider
+        self.trust.provider()
     }
 
     /// Re-derives the key of `device` from the fleet root.
     pub fn device_key(&self, device: DeviceId) -> DeviceKey {
-        self.root.derive(device)
+        self.trust.root().derive(device)
     }
 
     /// The measurement scheme this verifier checks reports against.
     pub fn scheme(&self) -> MeasurementScheme {
-        self.scheme
+        self.trust.scheme()
     }
 
-    /// Number of device keys currently cached across all sweep shards.
+    /// Number of device keys currently cached across all shards.
     pub fn cached_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.keys.len()).sum()
+        self.trust.cached_keys()
     }
 
     /// Total key derivations ever performed. With stable shards this
     /// equals [`Verifier::cached_keys`] no matter how often the
     /// parallelism changes — each device key is derived exactly once.
     pub fn key_derivations(&self) -> u64 {
-        self.shards.iter().map(|s| s.derivations).sum()
+        self.trust.key_derivations()
     }
 
     /// Number of persistent sweep workers.
@@ -288,34 +154,9 @@ impl Verifier {
         self.pool.set_workers(workers);
     }
 
-    /// The fleet root key (campaigns derive per-device authorities from
-    /// it).
-    pub(crate) fn root(&self) -> &DeviceKey {
-        &self.root
-    }
-
     /// The current golden measurement for `cohort`.
     pub fn expected_measurement(&self, cohort: WorkloadId) -> Option<[u8; 32]> {
-        self.expected.get(&cohort).map(|h| h.current)
-    }
-
-    /// Promotes `measurement` (taken over `golden`) to the current
-    /// golden state for `cohort`, demoting the old measurement to
-    /// "stale but authentic".
-    pub(crate) fn promote_measurement(
-        &mut self,
-        cohort: WorkloadId,
-        measurement: [u8; 32],
-        golden: &Memory,
-    ) {
-        if let Some(history) = self.expected.get_mut(&cohort) {
-            if history.current != measurement {
-                let old = history.current;
-                history.previous.push(old);
-                history.current = measurement;
-                history.golden = golden.clone();
-            }
-        }
+        self.trust.with_cohort(cohort, |golden| golden.current)
     }
 
     /// Exports a self-contained [`ServiceSnapshot`] for a networked
@@ -327,23 +168,9 @@ impl Verifier {
         let nonce_base = self.next_nonce;
         self.next_nonce += nonce_span;
         ServiceSnapshot {
-            root: self.root.clone(),
-            scheme: self.scheme,
-            cohorts: self
-                .expected
-                .iter()
-                .map(|(cohort, history)| {
-                    (
-                        *cohort,
-                        CohortSnapshot {
-                            layout: history.layout.clone(),
-                            current: history.current,
-                            previous: history.previous.clone(),
-                            golden: history.golden.clone(),
-                        },
-                    )
-                })
-                .collect(),
+            root: self.trust.root().clone(),
+            scheme: self.trust.scheme(),
+            cohorts: self.trust.cohorts(),
             nonce_base,
             nonce_span,
         }
@@ -364,135 +191,107 @@ impl Verifier {
         base
     }
 
-    /// Challenges and classifies one device against `shard`'s cached
-    /// state. The report's measurement is *never* trusted from cache on
-    /// the verifier side: only keys (immutable per device) are cached;
-    /// classification always uses the fresh report.
-    fn check_device(
-        shard: &mut SweepShard,
-        root: &DeviceKey,
-        expected: &BTreeMap<WorkloadId, MeasurementHistory>,
+    /// Challenges, verifies and classifies one shard's devices in one
+    /// [`TrustPass`](crate::TrustPass). Only keys (immutable per device)
+    /// are cached; classification always uses the fresh report.
+    fn check_shard(
+        trust: &TrustCore,
+        shard: usize,
+        targets: Vec<&mut SimDevice>,
         nonce_base: u64,
-        device: &mut SimDevice,
-    ) -> DeviceHealth {
-        let key = shard.key(root, device.id());
-        let verifier = AttestationVerifier::with_key(key);
-        // Offset nonces so no two devices ever share one.
-        let challenge = verifier.challenge_pmem(device.device().layout(), nonce_base + device.id());
-        let report = device.attest(challenge);
-        let verified = verifier.verify(&challenge, &report, None);
-        let (class, error) = match expected.get(&device.cohort()) {
-            Some(history) => history.classify(verified, &report.measurement),
-            // A cohort this verifier never enrolled (a foreign
-            // fleet): there is nothing to verify against.
-            None => (HealthClass::Unverified, None),
-        };
-        DeviceHealth {
-            device: device.id(),
-            cohort: device.cohort(),
-            class,
-            error,
+    ) -> ShardPass {
+        let mut pass = trust.pass();
+        let checked = targets
+            .into_iter()
+            .map(|device| {
+                // Offset nonces so no two devices ever share one.
+                let challenge = pmem_challenge(device.device().layout(), nonce_base + device.id());
+                let report = device.attest(challenge);
+                let (class, error) = pass.verify(device.id(), device.cohort(), &challenge, &report);
+                let health = DeviceHealth {
+                    device: device.id(),
+                    cohort: device.cohort(),
+                    class,
+                    error,
+                };
+                (health, report)
+            })
+            .collect();
+        ShardPass {
+            shard: shard as u16,
+            checked,
         }
     }
 
-    /// Issues one batched attestation sweep across the whole fleet.
-    ///
-    /// Every device gets a fresh challenge over its full application PMEM
-    /// range. Devices are partitioned into stable shards by
-    /// `id % SHARD_COUNT`; the persistent pool runs one job per
-    /// non-empty shard, each exclusively owning its shard's key cache,
-    /// so keys are derived once per device *ever*, not once per sweep —
-    /// and no threads are spawned per sweep. Flagged devices are
-    /// recorded in the fleet ledger.
-    pub fn sweep(&mut self, fleet: &mut Fleet) -> FleetReport {
-        let ids: Vec<DeviceId> = fleet.devices().iter().map(|d| d.id()).collect();
-        self.sweep_devices(fleet, &ids)
-    }
-
-    /// Issues a batched attestation sweep over a subset of devices.
-    ///
-    /// Shard assignment is `id % SHARD_COUNT` — stable across sweeps
-    /// (and parallelism changes) so key caches keep hitting, and evenly
-    /// balanced for dense id sets (the whole-fleet sweep). The report's
-    /// `threads` field records the workers that actually ran shard
-    /// batches, not the configured count.
-    pub fn sweep_devices(&mut self, fleet: &mut Fleet, ids: &[DeviceId]) -> FleetReport {
-        let nonce_base = self.reserve_challenge_nonces(ids);
-        let shard_count = self.shards.len();
-        let scheme = self.scheme;
-
-        // Partition the targets into stable shards, so each device lands
-        // in the same shard (same key cache) every sweep.
-        let mut shard_targets: Vec<Vec<&mut SimDevice>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        let targets = fleet.devices_by_ids_mut(ids);
-        let challenged: BTreeSet<DeviceId> = targets.iter().map(|d| d.id()).collect();
+    /// Partitions `targets` into the stable shards (`id % SHARD_COUNT`),
+    /// each in ascending id order.
+    fn partition(targets: Vec<&mut SimDevice>) -> Vec<Vec<&mut SimDevice>> {
+        let mut shards: Vec<Vec<&mut SimDevice>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
         for device in targets {
-            let shard = (device.id() % shard_count as u64) as usize;
-            shard_targets[shard].push(device);
+            shards[shard_of(device.id())].push(device);
         }
-        let threads = shard_targets
-            .iter()
+        for shard in &mut shards {
+            shard.sort_by_key(|device| device.id());
+        }
+        shards
+    }
+
+    /// The one verification pass behind every sweep flavour: challenges
+    /// each device in `ids` under a freshly reserved nonce block and
+    /// judges its report. The persistent pool runs one job per non-empty
+    /// shard, each owning its shard's key cache for the job (a
+    /// single-worker pool runs the same jobs inline — deterministic and
+    /// profiler-friendly). Returns the nonce base, which aggregated
+    /// sweeps use as their epoch, the per-shard results in ascending
+    /// shard order, and the time the shard jobs took.
+    fn verify_pass(
+        &mut self,
+        fleet: &mut Fleet,
+        ids: &[DeviceId],
+    ) -> (u64, Vec<ShardPass>, Duration) {
+        let nonce_base = self.reserve_challenge_nonces(ids);
+        let trust = &self.trust;
+        let jobs: Vec<ShardJob<'_>> = Self::partition(fleet.devices_by_ids_mut(ids))
+            .into_iter()
             .enumerate()
             .filter(|(_, targets)| !targets.is_empty())
-            .map(|(shard, _)| self.pool.worker_of(shard))
-            .collect::<BTreeSet<usize>>()
-            .len()
-            .max(1);
-
-        let start = Instant::now();
-        let root = &self.root;
-        let expected = &self.expected;
-        let mut healths: Vec<DeviceHealth> = if self.pool.workers() == 1 {
-            // Single-worker sweeps run inline: same shard state, no
-            // channel hops — deterministic and profiler-friendly.
-            self.shards
-                .iter_mut()
-                .zip(shard_targets)
-                .flat_map(|(shard, targets)| {
-                    targets
-                        .into_iter()
-                        .map(|device| Self::check_device(shard, root, expected, nonce_base, device))
-                        .collect::<Vec<DeviceHealth>>()
-                })
-                .collect()
+            .map(|(shard, targets)| {
+                let job: Box<dyn FnOnce() -> ShardPass + Send + '_> =
+                    Box::new(move || Self::check_shard(trust, shard, targets, nonce_base));
+                (shard, job)
+            })
+            .collect();
+        let started = Instant::now();
+        let passes = if self.pool.workers() == 1 {
+            jobs.into_iter().map(|(_, job)| job()).collect()
         } else {
-            // One pool job per non-empty shard; each job exclusively
-            // owns its shard state (shards route to exactly one worker),
-            // so the only shared data is read-only.
-            let jobs: Vec<ShardJob<'_>> = self
-                .shards
-                .iter_mut()
-                .zip(shard_targets)
-                .enumerate()
-                .filter(|(_, (_, targets))| !targets.is_empty())
-                .map(|(index, (shard, targets))| {
-                    let job: Box<dyn FnOnce() -> Vec<DeviceHealth> + Send + '_> =
-                        Box::new(move || {
-                            targets
-                                .into_iter()
-                                .map(|device| {
-                                    Self::check_device(shard, root, expected, nonce_base, device)
-                                })
-                                .collect()
-                        });
-                    (index, job)
-                })
-                .collect();
-            self.pool.scope(jobs).into_iter().flatten().collect()
+            self.pool.scope(jobs)
         };
-        let elapsed = start.elapsed();
+        (nonce_base, passes, started.elapsed())
+    }
+
+    /// Flattens a pass over `ids` into a [`FleetReport`] (id order) and
+    /// records every flagged device in the fleet ledger. Ids that
+    /// matched no device were never challenged; they are surfaced as
+    /// `missing` rather than letting the report silently shrink.
+    fn report(
+        fleet: &mut Fleet,
+        ids: &[DeviceId],
+        passes: Vec<ShardPass>,
+        elapsed: Duration,
+        threads: usize,
+    ) -> FleetReport {
+        let mut healths: Vec<DeviceHealth> = passes
+            .into_iter()
+            .flat_map(|pass| pass.checked.into_iter().map(|(health, _)| health))
+            .collect();
         // Shard partitioning interleaves ids; reports stay in id order.
         healths.sort_by_key(|h| h.device);
-
-        // Ids that matched no device were never challenged; surface them
-        // rather than letting the report silently shrink.
-        let missing: Vec<DeviceId> = ids
+        let missing = ids
             .iter()
             .copied()
-            .filter(|id| !challenged.contains(id))
+            .filter(|id| healths.binary_search_by_key(id, |h| h.device).is_err())
             .collect();
-
         for health in &healths {
             if health.class != HealthClass::Attested {
                 fleet.ledger_mut().record(LedgerEvent::AttestationFlagged {
@@ -506,100 +305,51 @@ impl Verifier {
             missing,
             elapsed,
             threads,
-            scheme,
+            scheme: fleet.scheme(),
         }
     }
 
-    /// Challenges, verifies and classifies one device exactly as
-    /// [`Verifier::check_device`] does — same challenge-nonce rule,
-    /// same classification — additionally digesting the evidence leaf
-    /// the shard's aggregation tree is built over. Verification routes
-    /// through `provider` (bit-compatible backends, identical verdicts).
-    fn check_device_evidence(
-        shard: &mut SweepShard,
-        provider: &dyn CryptoProvider,
-        root: &DeviceKey,
-        expected: &BTreeMap<WorkloadId, MeasurementHistory>,
-        nonce_base: u64,
-        device: &mut SimDevice,
-    ) -> (DeviceHealth, [u8; 32]) {
-        let key = shard.key(root, device.id());
-        let verifier = AttestationVerifier::with_key(key);
-        let challenge = verifier.challenge_pmem(device.device().layout(), nonce_base + device.id());
-        let report = device.attest(challenge);
-        let verified = verifier.verify_with(provider, &challenge, &report, None);
-        let (class, error) = match expected.get(&device.cohort()) {
-            Some(history) => history.classify(verified, &report.measurement),
-            None => (HealthClass::Unverified, None),
-        };
-        let leaf = evidence_leaf(provider, device.id(), &report);
-        (
-            DeviceHealth {
-                device: device.id(),
-                cohort: device.cohort(),
-                class,
-                error,
-            },
-            leaf,
-        )
+    /// Issues one batched attestation sweep across the whole fleet.
+    ///
+    /// Every device gets a fresh challenge over its full application PMEM
+    /// range. Devices are partitioned into stable shards by
+    /// `id % SHARD_COUNT`; the persistent pool runs one job per
+    /// non-empty shard, so keys are derived once per device *ever*, not
+    /// once per sweep — and no threads are spawned per sweep. Flagged
+    /// devices are recorded in the fleet ledger.
+    pub fn sweep(&mut self, fleet: &mut Fleet) -> FleetReport {
+        let ids: Vec<DeviceId> = fleet.devices().iter().map(|d| d.id()).collect();
+        self.sweep_devices(fleet, &ids)
     }
 
-    /// Runs one shard of an aggregated sweep: verify every device,
-    /// build the evidence tree (leaves in ascending device-id order),
-    /// and sign the root with the shard's aggregation key. Only the
-    /// suspect (non-attested) verdicts are materialised — the clean
-    /// majority is represented solely by the aggregate.
-    fn aggregate_shard(
-        index: usize,
-        shard: &mut SweepShard,
-        targets: Vec<&mut SimDevice>,
-        provider: &dyn CryptoProvider,
-        root: &DeviceKey,
-        expected: &BTreeMap<WorkloadId, MeasurementHistory>,
-        epoch: u64,
-    ) -> ShardAggregate {
-        let devices = targets.len();
-        let mut counts = [0usize; 4];
-        let mut suspects = Vec::new();
-        let mut leaves = Vec::with_capacity(devices);
-        for device in targets {
-            let (health, leaf) =
-                Self::check_device_evidence(shard, provider, root, expected, epoch, device);
-            counts[class_index(health.class)] += 1;
-            if health.class != HealthClass::Attested {
-                suspects.push(health);
-            }
-            leaves.push(leaf);
-        }
-        let tree = EvidenceTree::from_leaves(provider, &leaves);
-        let key = shard_agg_key(provider, root.as_bytes(), index as u16);
-        let proof = AggProof::sign(
-            provider,
-            &key,
-            index as u16,
-            epoch,
-            devices as u32,
-            tree.root(),
-        );
-        ShardAggregate {
-            shard: index as u16,
-            devices,
-            counts,
-            proof,
-            suspects,
-        }
+    /// Issues a batched attestation sweep over a subset of devices.
+    ///
+    /// Shard assignment is `id % SHARD_COUNT` — stable across sweeps
+    /// (and parallelism changes) so key caches keep hitting, and evenly
+    /// balanced for dense id sets (the whole-fleet sweep). The report's
+    /// `threads` field records the workers that actually ran shard
+    /// batches, not the configured count.
+    pub fn sweep_devices(&mut self, fleet: &mut Fleet, ids: &[DeviceId]) -> FleetReport {
+        let (_, passes, elapsed) = self.verify_pass(fleet, ids);
+        let threads = passes
+            .iter()
+            .map(|pass| self.pool.worker_of(usize::from(pass.shard)))
+            .collect::<BTreeSet<usize>>()
+            .len()
+            .max(1);
+        Self::report(fleet, ids, passes, elapsed, threads)
     }
 
     /// Issues one *aggregated* attestation sweep across the whole
     /// fleet.
     ///
-    /// Trust semantics are identical to [`Verifier::sweep`] — every
-    /// device is challenged with a fresh nonce and every report MAC is
-    /// checked — but the evidence is folded into one signed aggregate
-    /// root per shard, and an all-clean shard short-circuits per-device
-    /// verdict assembly: the operator-side check verifies at most
-    /// [`SHARD_COUNT`] aggregate root MACs, descending to per-device
-    /// verdicts only for the suspects each shard reports.
+    /// Trust semantics are identical to [`Verifier::sweep`] — it is the
+    /// same verification pass — but the evidence is folded into one
+    /// signed aggregate root per shard, and an all-clean shard
+    /// short-circuits per-device verdict assembly: the operator-side
+    /// check verifies at most [`SHARD_COUNT`] aggregate root MACs,
+    /// descending to per-device verdicts only for the suspects each
+    /// shard reports.
     pub fn sweep_aggregated(&mut self, fleet: &mut Fleet) -> AggSweepSummary {
         let ids: Vec<DeviceId> = fleet.devices().iter().map(|d| d.id()).collect();
         self.sweep_devices_aggregated(fleet, &ids)
@@ -615,100 +365,43 @@ impl Verifier {
         fleet: &mut Fleet,
         ids: &[DeviceId],
     ) -> AggSweepSummary {
-        let epoch = self.reserve_challenge_nonces(ids);
-        let shard_count = self.shards.len();
-        let provider = Arc::clone(&self.provider);
-        let provider_ref: &dyn CryptoProvider = provider.as_ref();
-
-        let mut shard_targets: Vec<Vec<&mut SimDevice>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        for device in fleet.devices_by_ids_mut(ids) {
-            let shard = (device.id() % shard_count as u64) as usize;
-            shard_targets[shard].push(device);
-        }
-        // Canonical leaf order inside a shard is ascending device id —
-        // every aggregator (local, gateway, cluster) must agree on it
-        // for roots to be comparable.
-        for targets in &mut shard_targets {
-            targets.sort_by_key(|device| device.id());
-        }
-
-        let root = &self.root;
-        let expected = &self.expected;
-        let aggregates: Vec<ShardAggregate> = if self.pool.workers() == 1 {
-            self.shards
-                .iter_mut()
-                .zip(shard_targets)
-                .enumerate()
-                .filter(|(_, (_, targets))| !targets.is_empty())
-                .map(|(index, (shard, targets))| {
-                    Self::aggregate_shard(
-                        index,
-                        shard,
-                        targets,
-                        provider_ref,
-                        root,
-                        expected,
-                        epoch,
-                    )
-                })
-                .collect()
-        } else {
-            let jobs: Vec<AggShardJob<'_>> = self
-                .shards
-                .iter_mut()
-                .zip(shard_targets)
-                .enumerate()
-                .filter(|(_, (_, targets))| !targets.is_empty())
-                .map(|(index, (shard, targets))| {
-                    let job: Box<dyn FnOnce() -> ShardAggregate + Send + '_> =
-                        Box::new(move || {
-                            Self::aggregate_shard(
-                                index,
-                                shard,
-                                targets,
-                                provider_ref,
-                                root,
-                                expected,
-                                epoch,
-                            )
-                        });
-                    (index, job)
-                })
-                .collect();
-            self.pool.scope(jobs)
-        };
-
-        // Operator-side assembly: one MAC verification per shard
-        // aggregate covers its whole clean population; per-device
-        // verdicts are assembled only from the reported suspects.
+        let (epoch, passes, _) = self.verify_pass(fleet, ids);
+        let provider = &**self.trust.provider();
         let mut summary = SweepSummary {
             devices: 0,
             counts: [0; 4],
             flagged: Vec::new(),
         };
-        let mut shard_roots = Vec::with_capacity(aggregates.len());
-        let mut roots_verified = 0usize;
+        let mut shard_roots = Vec::with_capacity(passes.len());
         let mut short_circuited = 0usize;
-        for aggregate in &aggregates {
-            let key = shard_agg_key(provider_ref, self.root.as_bytes(), aggregate.shard);
-            assert!(
-                aggregate.proof.verify(provider_ref, &key),
-                "shard {} aggregate root failed verification",
-                aggregate.shard
+        for pass in &passes {
+            let proof = self.trust.seal_shard(
+                pass.shard,
+                epoch,
+                pass.checked
+                    .iter()
+                    .map(|(health, report)| (health.device, Some(report))),
             );
-            roots_verified += 1;
-            summary.devices += aggregate.devices;
-            for (slot, count) in summary.counts.iter_mut().zip(aggregate.counts) {
-                *slot += count;
+            // Operator-side assembly: one MAC verification per shard
+            // aggregate covers its whole clean population; per-device
+            // verdicts are assembled only from the suspects.
+            assert!(
+                proof.verify(provider, &self.trust.agg_shard_key(pass.shard)),
+                "shard {} aggregate root failed verification",
+                pass.shard
+            );
+            let before = summary.flagged.len();
+            for (health, _) in &pass.checked {
+                summary.counts[class_index(health.class)] += 1;
+                if health.class != HealthClass::Attested {
+                    summary.flagged.push((health.device, health.class));
+                }
             }
-            if aggregate.suspects.is_empty() {
-                short_circuited += aggregate.devices;
+            if summary.flagged.len() == before {
+                short_circuited += pass.checked.len();
             }
-            for suspect in &aggregate.suspects {
-                summary.flagged.push((suspect.device, suspect.class));
-            }
-            shard_roots.push((aggregate.shard, aggregate.proof.root));
+            summary.devices += pass.checked.len();
+            shard_roots.push((pass.shard, proof.root));
         }
         summary.flagged.sort_by_key(|(id, _)| *id);
         for (device, class) in &summary.flagged {
@@ -717,84 +410,55 @@ impl Verifier {
                 class: *class,
             });
         }
-        let fleet_root = eilid_casu::agg::fleet_root(provider_ref, &shard_roots);
         AggSweepSummary {
             summary,
             epoch,
-            shards: aggregates.len(),
-            roots_verified,
+            shards: passes.len(),
+            roots_verified: passes.len(),
             short_circuited,
+            fleet_root: eilid_casu::agg::fleet_root(provider, &shard_roots),
             shard_roots,
-            fleet_root,
         }
     }
 
     /// The PR 2 sweep strategy — `thread::scope` with per-sweep thread
-    /// spawning — kept verbatim as the benchmark baseline the persistent
-    /// pool is measured against (`BENCH_net.json`). Identical trust
-    /// logic and shard state; only the scheduling differs.
+    /// spawning — kept as the benchmark baseline the persistent pool is
+    /// measured against (`BENCH_net.json`). The same shard jobs as
+    /// [`Verifier::sweep`]; only the scheduling differs.
     #[doc(hidden)]
     pub fn sweep_scoped_baseline(&mut self, fleet: &mut Fleet) -> FleetReport {
         let ids: Vec<DeviceId> = fleet.devices().iter().map(|d| d.id()).collect();
         let nonce_base = self.reserve_challenge_nonces(&ids);
-        let shard_count = self.shards.len();
-        let scheme = self.scheme;
         let workers = self.pool.workers().max(1);
-
-        let mut shard_targets: Vec<Vec<&mut SimDevice>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        for device in fleet.devices_by_ids_mut(&ids) {
-            let shard = (device.id() % shard_count as u64) as usize;
-            shard_targets[shard].push(device);
-        }
-
-        let start = Instant::now();
-        let root = &self.root;
-        let expected = &self.expected;
         // Group the stable shards into one chunk per worker, exactly as
         // the pool routes them, then spawn a scoped thread per chunk —
         // paying the per-sweep spawn/join cost the pool eliminates.
-        let mut chunks: Vec<Vec<(&mut SweepShard, Vec<&mut SimDevice>)>> =
+        let mut chunks: Vec<Vec<(usize, Vec<&mut SimDevice>)>> =
             (0..workers).map(|_| Vec::new()).collect();
-        for (index, (shard, targets)) in self.shards.iter_mut().zip(shard_targets).enumerate() {
+        for (shard, targets) in Self::partition(fleet.devices_by_ids_mut(&ids))
+            .into_iter()
+            .enumerate()
+        {
             if !targets.is_empty() {
-                chunks[index % workers].push((shard, targets));
+                chunks[shard % workers].push((shard, targets));
             }
         }
-        let mut healths: Vec<DeviceHealth> = if workers == 1 {
-            chunks
-                .pop()
-                .expect("one chunk")
+        let trust = &self.trust;
+        let started = Instant::now();
+        let run_chunk = move |chunk: Vec<(usize, Vec<&mut SimDevice>)>| -> Vec<ShardPass> {
+            chunk
                 .into_iter()
-                .flat_map(|(shard, targets)| {
-                    targets
-                        .into_iter()
-                        .map(|device| Self::check_device(shard, root, expected, nonce_base, device))
-                        .collect::<Vec<DeviceHealth>>()
-                })
+                .map(|(shard, targets)| Self::check_shard(trust, shard, targets, nonce_base))
                 .collect()
+        };
+        let passes: Vec<ShardPass> = if workers == 1 {
+            chunks.into_iter().flat_map(run_chunk).collect()
         } else {
             thread::scope(|scope| {
                 let handles: Vec<_> = chunks
                     .into_iter()
                     .filter(|chunk| !chunk.is_empty())
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .into_iter()
-                                .flat_map(|(shard, targets)| {
-                                    targets
-                                        .into_iter()
-                                        .map(|device| {
-                                            Self::check_device(
-                                                shard, root, expected, nonce_base, device,
-                                            )
-                                        })
-                                        .collect::<Vec<DeviceHealth>>()
-                                })
-                                .collect::<Vec<DeviceHealth>>()
-                        })
-                    })
+                    .map(|chunk| scope.spawn(move || run_chunk(chunk)))
                     .collect();
                 handles
                     .into_iter()
@@ -802,22 +466,7 @@ impl Verifier {
                     .collect()
             })
         };
-        let elapsed = start.elapsed();
-        healths.sort_by_key(|h| h.device);
-        for health in &healths {
-            if health.class != HealthClass::Attested {
-                fleet.ledger_mut().record(LedgerEvent::AttestationFlagged {
-                    device: health.device,
-                    class: health.class,
-                });
-            }
-        }
-        FleetReport {
-            devices: healths,
-            missing: Vec::new(),
-            elapsed,
-            threads: workers,
-            scheme,
-        }
+        let elapsed = started.elapsed();
+        Self::report(fleet, &ids, passes, elapsed, workers)
     }
 }

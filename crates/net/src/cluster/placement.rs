@@ -16,6 +16,7 @@
 //!   stays keeps its gateway, its cache, and its live sessions. This is
 //!   the classic HRW stability property, pinned by a proptest.
 
+use eilid_fleet::trust::shard_of;
 use eilid_fleet::{DeviceId, SHARD_COUNT};
 
 /// Deterministic shard → gateway assignment for a cluster of `n`
@@ -69,7 +70,7 @@ impl Placement {
 
     /// The gateway serving `device`, through its fixed shard.
     pub fn gateway_of(&self, device: DeviceId) -> usize {
-        self.gateway_of_shard((device % SHARD_COUNT as u64) as usize)
+        self.gateway_of_shard(shard_of(device))
     }
 
     /// The shards each gateway owns: `result[g]` lists gateway `g`'s

@@ -47,10 +47,8 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use eilid_casu::agg::{evidence_leaf, missing_leaf, AggProof, EvidenceTree};
-use eilid_casu::{
-    AttestationVerifier, Challenge, DeltaUpdateRequest, UpdateAuthority, UpdateError,
-};
+use eilid_casu::{AttestationReport, Challenge, DeltaUpdateRequest, UpdateAuthority, UpdateError};
+use eilid_fleet::trust::shard_of;
 use eilid_fleet::{
     Campaign, CampaignRun, CohortInfo, DeviceId, FleetError, HealthClass, Ledger, LedgerEvent,
     PausedCampaign, PreUpdateSnapshot, RollbackOutcome, WaveExecutor, WaveRollout, WaveSpec,
@@ -718,139 +716,122 @@ impl OpsEngine {
         (challenges, requests)
     }
 
-    /// Gateway-driven sweep: push an attest-only probe to every attached
-    /// device, verify and classify exactly as the in-process verifier
-    /// would (same keys, same golden histories, same classification
-    /// rule).
+    /// The one verification pass behind both operator sweeps: pushes
+    /// the round's attest-only probes and verifies every reply in
+    /// per-shard batches through the service's trust core — the same
+    /// keys, goldens and rule as the in-process verifier. Returns every
+    /// challenged device in id order with its verdict and the report it
+    /// judged; a lost or shed probe is a failed verification
+    /// (`Unverified`, no report), not a silent omission.
+    fn sweep_pass(
+        &mut self,
+        challenges: &SweepChallenges,
+        requests: Vec<(DeviceId, Frame)>,
+    ) -> Vec<(DeviceId, HealthClass, Option<AttestationReport>)> {
+        let replies = self.exchange(requests, ReplyKind::Probe);
+        let mut pass: Vec<(DeviceId, HealthClass, Option<AttestationReport>)> = challenges
+            .keys()
+            .map(|&device| (device, HealthClass::Unverified, None))
+            .collect();
+        // One batch per shard (one key-shard lock, and a batching
+        // provider reuses HMAC schedules), remembering each task's slot.
+        let mut shards: Vec<(Vec<usize>, Vec<VerifyTask>)> =
+            (0..SHARD_COUNT).map(|_| Default::default()).collect();
+        for (slot, (device, (cohort, challenge))) in challenges.iter().enumerate() {
+            if let Some(Frame::ProbeResult { report, .. }) = replies.get(device) {
+                let (slots, tasks) = &mut shards[shard_of(*device)];
+                slots.push(slot);
+                tasks.push(VerifyTask {
+                    device: *device,
+                    cohort: *cohort,
+                    issued: *challenge,
+                    report: *report,
+                });
+            }
+        }
+        for (slots, tasks) in &shards {
+            let verdicts = self.service.verify_batch(tasks);
+            for ((&slot, task), (class, _)) in slots.iter().zip(tasks).zip(verdicts) {
+                pass[slot] = (task.device, class, Some(task.report));
+            }
+        }
+        pass
+    }
+
+    /// Gateway-driven sweep: one verification pass over every attached
+    /// device, answered with per-device verdicts.
     fn handle_sweep(&mut self, conn: u64) {
         let (challenges, requests) = self.sweep_requests();
-        let replies = self.exchange(requests, ReplyKind::Probe);
+        let pass = self.sweep_pass(&challenges, requests);
         let mut counts = [0u32; 4];
         let mut flagged = Vec::new();
-        for (device, (cohort, challenge)) in &challenges {
-            let class = match replies.get(device) {
-                Some(Frame::ProbeResult { report, .. }) => {
-                    self.service.verify(*device, *cohort, challenge, report).0
-                }
-                // A lost or shed probe is a failed verification, not a
-                // silent omission.
-                _ => HealthClass::Unverified,
-            };
+        for &(device, class, _) in &pass {
             counts[class_index(class)] += 1;
             if class != HealthClass::Attested {
-                flagged.push((*device, health_to_wire(class)));
+                flagged.push((device, health_to_wire(class)));
             }
         }
         self.send(
             conn,
             Frame::OpSweepResult {
-                devices: challenges.len() as u32,
+                devices: pass.len() as u32,
                 counts,
                 flagged,
             },
         );
     }
 
-    /// Gateway-driven *aggregated* sweep: probe every attached device
-    /// exactly as [`handle_sweep`](Self::handle_sweep) does, but instead
-    /// of shipping a per-device verdict list, fold each shard's evidence
-    /// into an [`EvidenceTree`] and publish one MAC'd [`AggProof`] per
-    /// shard. The operator verifies at most [`SHARD_COUNT`] aggregate
-    /// MACs; only non-Attested devices (and lost probes) appear
-    /// individually, in the suspect list. Every per-device report MAC is
-    /// still verified *here*, at the gateway — aggregation compresses
-    /// the operator's work and the result frame, never the trust checks.
+    /// Gateway-driven *aggregated* sweep: the same verification pass as
+    /// [`handle_sweep`](Self::handle_sweep), but instead of shipping a
+    /// per-device verdict list, each shard's evidence is folded into an
+    /// [`EvidenceTree`](eilid_casu::EvidenceTree) and published as one
+    /// MAC'd [`AggProof`](eilid_casu::AggProof). The operator verifies at
+    /// most [`SHARD_COUNT`] aggregate MACs; only non-Attested devices
+    /// (and lost probes) appear individually, in the suspect list. Every
+    /// per-device report MAC is still verified *here*, at the gateway —
+    /// aggregation compresses the operator's work and the result frame,
+    /// never the trust checks.
     ///
     /// The sweep epoch is the service's nonce watermark taken before any
     /// challenge is minted: challenge nonces only move forward, so a
     /// replayed aggregate from an earlier sweep can never carry the
-    /// current epoch.
+    /// current epoch. A participant id span too wide for the result
+    /// frame is refused with a typed `Unsupported` before any probe is
+    /// pushed.
     fn handle_agg_sweep(&mut self, conn: u64) {
         let epoch = self.service.nonce_watermark();
         let (challenges, requests) = self.sweep_requests();
-        let replies = self.exchange(requests, ReplyKind::Probe);
+        let Some((bitmap_base, bitmap)) = participant_bitmap(&challenges) else {
+            return self.send_error(conn, ErrorCode::Unsupported);
+        };
+        let pass = self.sweep_pass(&challenges, requests);
 
-        // Canonical order: ascending device id within each shard. The
-        // challenge map iterates ascending, so pushing in iteration
-        // order keeps every shard's member list sorted.
-        let mut shards: BTreeMap<u16, Vec<(DeviceId, WorkloadId, Challenge)>> = BTreeMap::new();
-        for (device, (cohort, challenge)) in &challenges {
-            shards
-                .entry((device % SHARD_COUNT as u64) as u16)
-                .or_default()
-                .push((*device, *cohort, *challenge));
-        }
-
-        let provider = Arc::clone(self.service.provider());
+        // The pass is in id order, so every shard's members — and the
+        // suspect list — come out in the canonical ascending order.
         let mut counts = [0u32; 4];
         let mut suspects: Vec<(u64, WireHealth)> = Vec::new();
-        let mut proofs = Vec::with_capacity(shards.len());
-        let mut short_circuited: u64 = 0;
-        for (shard, members) in &shards {
-            let suspects_before = suspects.len();
-            // One batched verification per shard: same shard → one key
-            // shard lock, and a batching provider reuses HMAC schedules.
-            let tasks: Vec<VerifyTask> = members
-                .iter()
-                .filter_map(|(device, cohort, challenge)| match replies.get(device) {
-                    Some(Frame::ProbeResult { report, .. }) => Some(VerifyTask {
-                        device: *device,
-                        cohort: *cohort,
-                        issued: *challenge,
-                        report: *report,
-                    }),
-                    _ => None,
-                })
-                .collect();
-            let mut verdicts = self.service.verify_batch(&tasks).into_iter();
-            let mut leaves = Vec::with_capacity(members.len());
-            for (device, _, _) in members {
-                let class = match replies.get(device) {
-                    Some(Frame::ProbeResult { report, .. }) => {
-                        leaves.push(evidence_leaf(&*provider, *device, report));
-                        verdicts.next().expect("one verdict per task").0
-                    }
-                    // A lost or shed probe is a failed verification; its
-                    // slot holds the domain-separated missing leaf so
-                    // the tree geometry matches the participant list.
-                    _ => {
-                        leaves.push(missing_leaf(&*provider, *device));
-                        HealthClass::Unverified
-                    }
-                };
-                counts[class_index(class)] += 1;
-                if class != HealthClass::Attested {
-                    suspects.push((*device, health_to_wire(class)));
-                }
+        let mut shards: Vec<Vec<(DeviceId, Option<&AttestationReport>)>> =
+            (0..SHARD_COUNT).map(|_| Vec::new()).collect();
+        let mut clean = [true; SHARD_COUNT];
+        for (device, class, report) in &pass {
+            counts[class_index(*class)] += 1;
+            if *class != HealthClass::Attested {
+                suspects.push((*device, health_to_wire(*class)));
+                clean[shard_of(*device)] = false;
             }
-            let tree = EvidenceTree::from_leaves(&*provider, &leaves);
-            let key = self.service.agg_shard_key(*shard);
-            proofs.push(AggProof::sign(
-                &*provider,
-                &key,
-                *shard,
-                epoch,
-                members.len() as u32,
-                tree.root(),
-            ));
-            if suspects.len() == suspects_before {
+            shards[shard_of(*device)].push((*device, report.as_ref()));
+        }
+        let trust = self.service.trust();
+        let mut proofs = Vec::new();
+        let mut short_circuited: u64 = 0;
+        for (shard, members) in shards.into_iter().enumerate() {
+            if members.is_empty() {
+                continue;
+            }
+            if clean[shard] {
                 short_circuited += members.len() as u64;
             }
-        }
-        suspects.sort_by_key(|(device, _)| *device);
-
-        // Participant bitmap: bit (id - base) set for every device the
-        // sweep actually challenged, so the operator can tell "absent
-        // from the fleet" apart from "hidden by a forged aggregate".
-        let bitmap_base = challenges.keys().next().copied().unwrap_or(0);
-        let bitmap_len = challenges
-            .keys()
-            .next_back()
-            .map_or(0, |last| ((last - bitmap_base) / 8 + 1) as usize);
-        let mut bitmap = vec![0u8; bitmap_len];
-        for device in challenges.keys() {
-            let bit = device - bitmap_base;
-            bitmap[(bit / 8) as usize] |= 1 << (bit % 8);
+            proofs.push(trust.seal_shard(shard as u16, epoch, members));
         }
 
         self.metrics.agg_sweeps.inc();
@@ -862,7 +843,7 @@ impl OpsEngine {
             conn,
             Frame::OpAggSweepResult {
                 epoch,
-                devices: challenges.len() as u32,
+                devices: pass.len() as u32,
                 counts,
                 bitmap_base,
                 bitmap,
@@ -1044,7 +1025,7 @@ impl OpsEngine {
         tally: &mut WaveTally,
         outbox: &mut Vec<(u64, Frame)>,
     ) {
-        let key = self.service.device_key(device);
+        let key = self.service.trust().device_key(device);
         let mut authority =
             UpdateAuthority::with_key_resuming(&key, last_nonce + 1).with_version(spec.version);
         let request = authority.authorize(spec.target, spec.payload);
@@ -1134,6 +1115,37 @@ fn update_error_from_code(code: u8) -> UpdateError {
     }
 }
 
+/// Bytes an [`Frame::OpAggSweepResult`] payload spends besides its
+/// bitmap, at most: the fixed fields (epoch, device total, four class
+/// counts, bitmap base and length, proof and suspect counts), one
+/// 70-byte proof per shard, and a 9-byte suspect entry per participant.
+fn agg_result_overhead(participants: usize) -> usize {
+    48 + 70 * SHARD_COUNT + 9 * participants
+}
+
+/// The participant bitmap of an aggregated sweep: bit `id - base` set
+/// for every challenged device, so the operator can tell "absent from
+/// the fleet" apart from "hidden by a forged aggregate". Device ids are
+/// device-controlled (`Frame::Attach` takes any `u64`), so the span is
+/// bounded before anything is allocated: `None` when the bitmap would
+/// not fit an operator frame beside the rest of the result.
+fn participant_bitmap(challenges: &SweepChallenges) -> Option<(u64, Vec<u8>)> {
+    let (Some(&base), Some(&last)) = (challenges.keys().next(), challenges.keys().next_back())
+    else {
+        return Some((0, Vec::new()));
+    };
+    let len = usize::try_from((last - base) / 8 + 1).ok().filter(|len| {
+        len.checked_add(agg_result_overhead(challenges.len()))
+            .is_some_and(|total| total <= crate::wire::MAX_OP_PAYLOAD)
+    })?;
+    let mut bitmap = vec![0u8; len];
+    for device in challenges.keys() {
+        let bit = device - base;
+        bitmap[(bit / 8) as usize] |= 1 << (bit % 8);
+    }
+    Some((base, bitmap))
+}
+
 impl WaveExecutor for OpsEngine {
     fn cohort_info(&mut self, cohort: WorkloadId) -> Result<CohortInfo, FleetError> {
         let members = self
@@ -1144,15 +1156,15 @@ impl WaveExecutor for OpsEngine {
         if members.is_empty() {
             return Err(FleetError::UnknownCohort(cohort));
         }
-        let (golden, layout) = self
-            .service
-            .cohort_golden(cohort)
+        let trust = self.service.trust();
+        let (golden, layout) = trust
+            .with_cohort(cohort, |state| (state.golden.clone(), state.layout.clone()))
             .ok_or(FleetError::UnknownCohort(cohort))?;
         Ok(CohortInfo {
             members,
             golden,
             layout,
-            scheme: self.service.scheme(),
+            scheme: trust.scheme(),
         })
     }
 
@@ -1167,9 +1179,12 @@ impl WaveExecutor for OpsEngine {
         // tampered) device's delta rejects device-side and falls back
         // to the full image under the same nonce.
         let delta_base: Option<Vec<u8>> = if spec.delta {
-            self.service.cohort_golden(spec.cohort).map(|(golden, _)| {
+            self.service.trust().with_cohort(spec.cohort, |state| {
                 let start = usize::from(spec.target);
-                golden.slice(start..start + spec.payload.len()).to_vec()
+                state
+                    .golden
+                    .slice(start..start + spec.payload.len())
+                    .to_vec()
             })
         } else {
             None
@@ -1438,11 +1453,17 @@ impl WaveExecutor for OpsEngine {
                                 .record_duration_us(st.pushed_at.elapsed());
                             match st.phase {
                                 WavePhase::Attest => {
-                                    let key = self.service.device_key(device);
                                     let challenge =
                                         st.challenge.as_ref().expect("attest challenge");
-                                    st.attested = AttestationVerifier::with_key(&key)
-                                        .verify(challenge, &report, Some(&spec.expected_after))
+                                    st.attested = self
+                                        .service
+                                        .trust()
+                                        .verify_expecting(
+                                            device,
+                                            challenge,
+                                            &report,
+                                            &spec.expected_after,
+                                        )
                                         .is_ok();
                                     if healthy == 2 {
                                         // Attest-only reply: no verdict
@@ -1601,7 +1622,7 @@ impl WaveExecutor for OpsEngine {
             let Some(snapshot) = snapshots.get(&device) else {
                 continue;
             };
-            let key = self.service.device_key(device);
+            let key = self.service.trust().device_key(device);
             // Re-issue the pre-campaign bytes *at the device's current
             // version*: the monotonic anti-rollback counter refuses
             // anything older, so a sanctioned rollback rides the same
@@ -1668,12 +1689,11 @@ impl WaveExecutor for OpsEngine {
                 (
                     Some(Frame::ProbeResult { report, .. }),
                     Some(PreUpdateSnapshot { measurement, .. }),
-                ) => {
-                    let key = self.service.device_key(device);
-                    AttestationVerifier::with_key(&key)
-                        .verify(&probe_challenges[&device], report, Some(measurement))
-                        .is_ok()
-                }
+                ) => self
+                    .service
+                    .trust()
+                    .verify_expecting(device, &probe_challenges[&device], report, measurement)
+                    .is_ok(),
                 _ => false,
             };
             if restored {
@@ -1695,7 +1715,7 @@ impl WaveExecutor for OpsEngine {
         golden: &eilid_msp430::Memory,
         measurement: [u8; 32],
     ) {
-        self.service.promote_cohort(cohort, golden, measurement);
+        self.service.trust().promote(cohort, golden, measurement);
     }
 
     fn record(&mut self, events: Vec<LedgerEvent>) {

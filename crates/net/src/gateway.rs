@@ -47,6 +47,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use eilid_fleet::trust::shard_of;
 use eilid_fleet::{WorkerPool, SHARD_COUNT};
 
 use crate::engine::{EngineInput, OpsEngine, Registry};
@@ -226,7 +227,7 @@ impl PassCtx<'_> {
     /// Coalesces one verification task into its shard batch, flushing
     /// the batch when it reaches the configured ceiling.
     fn push_task(&mut self, conn_id: u64, task: VerifyTask) {
-        let shard = (task.device % SHARD_COUNT as u64) as usize;
+        let shard = shard_of(task.device);
         self.batches[shard].push((conn_id, task));
         if self.batches[shard].len() >= self.batch_max {
             self.flush_shard(shard);

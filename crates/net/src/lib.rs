@@ -11,10 +11,12 @@
 //!   cryptographic checks (the domain-separated MACs from
 //!   [`eilid_casu`]) stay in the verifier — the codec never pretends to
 //!   authenticate.
-//! * [`service`] — the gateway's trust core ([`AttestationService`]),
-//!   provisioned from the fleet verifier's snapshot (same root key,
-//!   same goldens, a reserved nonce block) plus the per-connection
-//!   [`Session`] state machine shared by every server flavour.
+//! * [`service`] — the gateway's [`AttestationService`]: one
+//!   [`eilid_fleet::TrustCore`] provisioned from the fleet verifier's
+//!   snapshot (same root key, same goldens, the same derive-once key
+//!   cache and classification rule), a reserved nonce block, plus the
+//!   per-connection [`Session`] state machine shared by every server
+//!   flavour.
 //! * [`poller`] — the readiness seam: a Linux epoll backend (the
 //!   crate's one documented-unsafe module, raw syscall bindings) and a
 //!   portable scan fallback whose idle sleeps follow an adaptive

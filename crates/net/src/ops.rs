@@ -29,9 +29,10 @@ use std::time::{Duration, Instant};
 use eilid::RunOutcome;
 use eilid_casu::agg::{fleet_root, shard_agg_key};
 use eilid_casu::{CryptoProvider, MeasurementScheme, SoftwareProvider};
+use eilid_fleet::trust::shard_of;
 use eilid_fleet::{
     AggSweepSummary, CampaignConfig, CampaignPhase, CampaignReport, CampaignStatus, Fleet,
-    FleetOps, OpsError, OpsHealth, SimDevice, SweepSummary, SHARD_COUNT,
+    FleetOps, OpsError, OpsHealth, SimDevice, SweepSummary,
 };
 use eilid_workloads::WorkloadId;
 
@@ -400,7 +401,7 @@ impl<T: Transport> FleetOps for RemoteOps<T> {
                     .filter(|proof| {
                         !suspects
                             .iter()
-                            .any(|(device, _)| (device % SHARD_COUNT as u64) as u16 == proof.shard)
+                            .any(|(device, _)| shard_of(*device) == usize::from(proof.shard))
                     })
                     .map(|proof| proof.count as usize)
                     .sum();

@@ -1,11 +1,13 @@
-//! The gateway's trust core: per-cohort golden state, nonce allocation,
-//! sharded key caches, and the per-connection protocol state machine.
+//! The gateway's verifier: nonce allocation, verification totals and
+//! the per-connection protocol state machine around one trust core.
 //!
-//! [`AttestationService`] is provisioned from a fleet verifier's
-//! [`ServiceSnapshot`](eilid_fleet::ServiceSnapshot) — same root key,
-//! same golden measurements, and a reserved block of the verifier's
+//! [`AttestationService`] owns an [`eilid_fleet::TrustCore`] provisioned
+//! from a fleet verifier's [`ServiceSnapshot`] — same root key, same
+//! golden measurements — and a reserved block of the verifier's
 //! challenge-nonce domain, so networked challenges can never collide
 //! with in-process sweep challenges on any device key.
+//! Client-driven reports, the campaign engine's sweeps, probes and
+//! rollback checks all verify through that one core.
 //!
 //! [`Session`] implements the per-connection state machine once; the
 //! non-blocking TCP gateway and the in-memory [`serve_transport`] server
@@ -13,14 +15,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
-use eilid_casu::{
-    AttestError, AttestationVerifier, Challenge, CryptoProvider, DeviceKey, MeasurementScheme,
-    SoftwareProvider,
-};
-use eilid_fleet::{CohortSnapshot, HealthClass, ServiceSnapshot, SHARD_COUNT};
-use eilid_msp430::Memory;
+use eilid_casu::{AttestError, Challenge, CryptoProvider, SoftwareProvider};
+use eilid_fleet::trust::pmem_challenge;
+use eilid_fleet::{HealthClass, ServiceSnapshot, TrustCore};
 use eilid_workloads::WorkloadId;
 
 use crate::error::NetError;
@@ -45,14 +44,6 @@ pub fn health_from_wire(class: WireHealth) -> HealthClass {
         WireHealth::Tampered => HealthClass::Tampered,
         WireHealth::Unverified => HealthClass::Unverified,
     }
-}
-
-/// Per-shard verifier-side cache: device keys derived once, ever —
-/// the same stable-shard discipline as the fleet verifier, keyed by
-/// `device % SHARD_COUNT` so worker-count changes never orphan keys.
-#[derive(Debug, Default)]
-struct KeyShard {
-    keys: HashMap<u64, DeviceKey>,
 }
 
 /// Running verification totals, updated atomically by worker threads.
@@ -90,27 +81,17 @@ impl ServiceStats {
     }
 }
 
-/// The networked verifier core. Thread-safe: the poll loop issues
-/// challenges while pool workers verify reports concurrently, and the
-/// campaign engine promotes goldens (behind the cohort `RwLock`) when a
-/// gateway-resident rollout completes.
+/// The networked verifier: the gateway's [`TrustCore`] plus the
+/// reserved challenge-nonce block and the verification totals. Thread
+/// safe: the reactor issues challenges while pool workers verify
+/// reports concurrently, and the campaign engine promotes goldens when
+/// a gateway-resident rollout completes.
 #[derive(Debug)]
 pub struct AttestationService {
-    root: DeviceKey,
-    /// Per-cohort golden state. Read on every challenge/verify; written
-    /// only when a gateway-resident campaign promotes a new golden.
-    cohorts: RwLock<std::collections::BTreeMap<WorkloadId, CohortSnapshot>>,
-    /// The measurement scheme the fleet was enrolled under (campaigns
-    /// measure patched goldens with it).
-    scheme: MeasurementScheme,
+    trust: TrustCore,
     next_nonce: AtomicU64,
     nonce_end: u64,
-    shards: Vec<Mutex<KeyShard>>,
     stats: ServiceStats,
-    /// Crypto backend every HMAC/SHA in this service routes through —
-    /// [`SoftwareProvider`] by default, a [`eilid_casu::BatchedProvider`]
-    /// when the gateway wants amortized key schedules across a sweep.
-    provider: Arc<dyn CryptoProvider>,
 }
 
 impl AttestationService {
@@ -120,30 +101,21 @@ impl AttestationService {
         Self::with_provider(snapshot, Arc::new(SoftwareProvider))
     }
 
-    /// Builds the service on an explicit [`CryptoProvider`] backend.
+    /// Builds the service on an explicit [`CryptoProvider`] backend —
+    /// every HMAC and SHA of the service, its sweeps and its campaign
+    /// probes runs on it.
     pub fn with_provider(snapshot: ServiceSnapshot, provider: Arc<dyn CryptoProvider>) -> Self {
         AttestationService {
-            root: snapshot.root,
-            cohorts: RwLock::new(snapshot.cohorts),
-            scheme: snapshot.scheme,
+            trust: TrustCore::new(snapshot.root, snapshot.scheme, snapshot.cohorts, provider),
             next_nonce: AtomicU64::new(snapshot.nonce_base),
             nonce_end: snapshot.nonce_base.saturating_add(snapshot.nonce_span),
-            shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
             stats: ServiceStats::default(),
-            provider,
         }
     }
 
-    /// The crypto backend this service verifies with.
-    pub fn provider(&self) -> &Arc<dyn CryptoProvider> {
-        &self.provider
-    }
-
-    /// The aggregation key for `shard`, derived from the fleet root key
-    /// under the shard-key domain tag — what the gateway signs aggregate
-    /// roots with and the operator re-derives to check them.
-    pub fn agg_shard_key(&self, shard: u16) -> [u8; 32] {
-        eilid_casu::shard_agg_key(&*self.provider, self.root.as_bytes(), shard)
+    /// The service's trust core.
+    pub(crate) fn trust(&self) -> &TrustCore {
+        &self.trust
     }
 
     /// The next unissued challenge nonce. An aggregated sweep snapshots
@@ -159,72 +131,17 @@ impl AttestationService {
         &self.stats
     }
 
-    /// The measurement scheme reports are verified under.
-    pub fn scheme(&self) -> MeasurementScheme {
-        self.scheme
-    }
-
-    /// `true` when the service holds goldens for `cohort`.
-    pub fn has_cohort(&self, cohort: WorkloadId) -> bool {
-        self.cohorts
-            .read()
-            .expect("cohort lock")
-            .contains_key(&cohort)
-    }
-
-    /// The cohort's current golden image and layout (what a
-    /// gateway-resident campaign patches and probes against).
-    pub(crate) fn cohort_golden(
-        &self,
-        cohort: WorkloadId,
-    ) -> Option<(Memory, eilid_casu::MemoryLayout)> {
-        let cohorts = self.cohorts.read().expect("cohort lock");
-        cohorts
-            .get(&cohort)
-            .map(|snapshot| (snapshot.golden.clone(), snapshot.layout.clone()))
-    }
-
-    /// Promotes `measurement`/`golden` to the cohort's current golden
-    /// state, demoting the previous measurement to "stale but
-    /// authentic" — the gateway-side mirror of the fleet verifier's
-    /// promotion on campaign completion.
-    pub(crate) fn promote_cohort(
-        &self,
-        cohort: WorkloadId,
-        golden: &Memory,
-        measurement: [u8; 32],
-    ) {
-        let mut cohorts = self.cohorts.write().expect("cohort lock");
-        if let Some(snapshot) = cohorts.get_mut(&cohort) {
-            if snapshot.current != measurement {
-                let old = snapshot.current;
-                snapshot.previous.push(old);
-                snapshot.current = measurement;
-                snapshot.golden = golden.clone();
-            }
-        }
-    }
-
-    /// The (shard-cached) key of `device`, derived once ever from the
-    /// fleet root — the campaign engine MACs update requests and
-    /// verifies probe reports with it.
-    pub(crate) fn device_key(&self, device: u64) -> DeviceKey {
-        let shard = &self.shards[(device % SHARD_COUNT as u64) as usize];
-        let mut shard = shard.lock().expect("key shard lock");
-        let root = &self.root;
-        shard
-            .keys
-            .entry(device)
-            .or_insert_with(|| root.derive(device))
-            .clone()
-    }
-
     /// Device keys currently cached across all shards.
     pub fn cached_keys(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().expect("key shard lock").keys.len())
-            .sum()
+        self.trust.cached_keys()
+    }
+
+    /// Key derivations ever performed — equal to
+    /// [`AttestationService::cached_keys`], because every gateway path
+    /// (client-driven reports, operator sweeps, campaign updates, probes
+    /// and rollbacks) draws keys from the one derive-once cache.
+    pub fn key_derivations(&self) -> u64 {
+        self.trust.key_derivations()
     }
 
     /// Issues a fresh challenge over `cohort`'s PMEM range.
@@ -242,20 +159,19 @@ impl AttestationService {
     /// not provisioned for; [`ChallengeError::NoncesExhausted`] once the
     /// reserved block runs dry.
     pub fn challenge_for(&self, cohort: WorkloadId) -> Result<Challenge, ChallengeError> {
-        let cohorts = self.cohorts.read().expect("cohort lock");
-        let snapshot = cohorts.get(&cohort).ok_or(ChallengeError::UnknownCohort)?;
-        // fetch_add past the end is harmless: the overshot value is
-        // never issued, and the counter cannot wrap a u64 in practice.
-        let nonce = self.next_nonce.fetch_add(1, Ordering::Relaxed);
-        if nonce >= self.nonce_end {
-            return Err(ChallengeError::NoncesExhausted);
-        }
-        self.stats.challenges_issued.fetch_add(1, Ordering::Relaxed);
-        Ok(Challenge {
-            nonce,
-            start: *snapshot.layout.pmem.start(),
-            end: *snapshot.layout.pmem.end(),
-        })
+        self.trust
+            .with_cohort(cohort, |golden| {
+                // fetch_add past the end is harmless: the overshot value
+                // is never issued, and the counter cannot wrap a u64 in
+                // practice.
+                let nonce = self.next_nonce.fetch_add(1, Ordering::Relaxed);
+                if nonce >= self.nonce_end {
+                    return Err(ChallengeError::NoncesExhausted);
+                }
+                self.stats.challenges_issued.fetch_add(1, Ordering::Relaxed);
+                Ok(pmem_challenge(&golden.layout, nonce))
+            })
+            .unwrap_or(Err(ChallengeError::UnknownCohort))
     }
 
     /// Verifies one report against the issued challenge and the
@@ -268,78 +184,32 @@ impl AttestationService {
         issued: &Challenge,
         report: &eilid_casu::AttestationReport,
     ) -> (HealthClass, Option<AttestError>) {
-        let cohorts = self.cohorts.read().expect("cohort lock");
-        let Some(snapshot) = cohorts.get(&cohort) else {
-            self.stats.record(HealthClass::Unverified);
-            return (HealthClass::Unverified, None);
-        };
-        let shard = &self.shards[(device % SHARD_COUNT as u64) as usize];
-        let verified = {
-            let mut shard = shard.lock().expect("key shard lock");
-            let root = &self.root;
-            let key = shard
-                .keys
-                .entry(device)
-                .or_insert_with(|| root.derive(device));
-            AttestationVerifier::with_key(key).verify_with(&*self.provider, issued, report, None)
-        };
-        let (class, error) = snapshot.classify(verified, &report.measurement);
-        self.stats.record(class);
-        (class, error)
+        let verdict = self.trust.pass().verify(device, cohort, issued, report);
+        self.stats.record(verdict.0);
+        verdict
     }
 
-    /// Verifies a batch of reports, yielding exactly the verdicts
-    /// [`AttestationService::verify`] would produce one at a time —
-    /// the equivalence is property-tested over arbitrary mixes of good,
-    /// tampered, stale and replayed reports.
+    /// Verifies a batch of reports in one [`TrustPass`](eilid_fleet::TrustPass),
+    /// yielding exactly the verdicts [`AttestationService::verify`]
+    /// would produce one at a time — the equivalence is property-tested
+    /// over arbitrary mixes of good, tampered, stale and replayed
+    /// reports.
     ///
-    /// The point of batching is amortization: consecutive tasks on the
-    /// same key shard reuse one lock acquisition (the gateway batches
-    /// per shard, so a whole batch typically costs a single lock),
-    /// and the per-job pool dispatch the gateway used to pay per report
-    /// is paid per batch.
+    /// The point of batching is amortization: one golden read-lock for
+    /// the batch, and consecutive tasks on the same key shard reuse one
+    /// lock acquisition (the gateway batches per shard, so a whole batch
+    /// typically costs a single lock); the per-job pool dispatch the
+    /// gateway used to pay per report is paid per batch.
     pub fn verify_batch(&self, tasks: &[VerifyTask]) -> Vec<(HealthClass, Option<AttestError>)> {
-        let mut verdicts = Vec::with_capacity(tasks.len());
-        // One cohort read-lock acquisition for the whole batch; golden
-        // promotion (a rare write) waits for batch boundaries.
-        let cohorts = self.cohorts.read().expect("cohort lock");
-        let mut held: Option<(usize, std::sync::MutexGuard<'_, KeyShard>)> = None;
-        for task in tasks {
-            let Some(snapshot) = cohorts.get(&task.cohort) else {
-                self.stats.record(HealthClass::Unverified);
-                verdicts.push((HealthClass::Unverified, None));
-                continue;
-            };
-            let shard_index = (task.device % SHARD_COUNT as u64) as usize;
-            // Re-lock only when the shard changes; same-shard runs — the
-            // common case by construction — hold one guard throughout.
-            // The old guard MUST drop before the new lock is taken:
-            // holding two shard locks at once would let concurrent
-            // cross-shard batches deadlock ABBA-style.
-            if held.as_ref().map(|(index, _)| *index) != Some(shard_index) {
-                drop(held.take());
-                held = Some((
-                    shard_index,
-                    self.shards[shard_index].lock().expect("key shard lock"),
-                ));
-            }
-            let (_, shard) = held.as_mut().expect("shard guard held");
-            let root = &self.root;
-            let key = shard
-                .keys
-                .entry(task.device)
-                .or_insert_with(|| root.derive(task.device));
-            let verified = AttestationVerifier::with_key(key).verify_with(
-                &*self.provider,
-                &task.issued,
-                &task.report,
-                None,
-            );
-            let (class, error) = snapshot.classify(verified, &task.report.measurement);
-            self.stats.record(class);
-            verdicts.push((class, error));
-        }
-        verdicts
+        let mut pass = self.trust.pass();
+        tasks
+            .iter()
+            .map(|task| {
+                let verdict = pass.verify(task.device, task.cohort, &task.issued, &task.report);
+                self.stats.record(verdict.0);
+                verdict
+            })
+            .collect()
     }
 }
 
@@ -514,7 +384,7 @@ impl Session {
             // Cohort validity is checked here so a bad attach is
             // rejected device-scoped before it reaches any registry.
             Frame::Attach { device, cohort } => {
-                if service.has_cohort(cohort) {
+                if service.trust().with_cohort(cohort, |_| ()).is_some() {
                     SessionOutput::Attach { device, cohort }
                 } else {
                     SessionOutput::Reply(vec![Frame::DeviceError {

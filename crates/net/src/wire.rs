@@ -914,17 +914,17 @@ pub enum Frame {
         /// The sweep epoch bound into every proof MAC (the gateway's
         /// reserved challenge-nonce base for this sweep).
         epoch: u64,
-        /// Devices swept (equals the participant-bitmap popcount when
-        /// the bitmap is present).
+        /// Devices swept (equals the participant-bitmap popcount).
         devices: u32,
         /// Per-class counts: `[attested, stale, tampered, unverified]`.
         counts: [u32; 4],
         /// First device id covered by `bitmap` (bit `i` set ⇔ device
         /// `bitmap_base + i` participated).
         bitmap_base: u64,
-        /// Participant bitmap; empty when the id span is too sparse to
-        /// enumerate compactly (participation is then implied by
-        /// `devices` alone).
+        /// Participant bitmap, always present: its popcount must equal
+        /// `devices`. A gateway whose participant id span would not fit
+        /// the frame refuses the sweep with a typed
+        /// [`ErrorCode::Unsupported`] instead of sending this frame.
         bitmap: Vec<u8>,
         /// One aggregate proof per non-empty shard, ascending shard
         /// order. Every proof's epoch equals the frame's (the wire

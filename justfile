@@ -92,6 +92,12 @@ net-bench:
 net-bench-smoke:
     cargo run --release -p eilid_bench --bin net -- --quick --json /tmp/BENCH_net.json --min-pool-ratio 0.85
 
+# The benchmark's own self-tests at tiny scale (a separate cargo
+# workspace calling the library APIs directly, so an API change that
+# breaks the benchmark fails here first).
+perfbench-test:
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 fmt:
     cargo fmt --all --check
 
