@@ -1,23 +1,19 @@
 //! Networked attestation throughput scenario.
 //!
-//! Measures (1) the persistent worker pool against the retained
-//! `thread::scope` baseline on in-memory sweeps, and (2) full-protocol
-//! networked sweeps over the in-memory pipe and loopback TCP, then
-//! writes `BENCH_net.json` — the recorded perf baseline later PRs
-//! regress against.
+//! Measures (1) the in-process `Verifier::sweep`, and (2)
+//! full-protocol networked sweeps over the in-memory pipe and loopback
+//! TCP, then writes `BENCH_net.json` — the recorded perf baseline later
+//! PRs regress against.
 //!
 //! ```text
 //! net [--devices N] [--threads N] [--clients N] [--window N]
-//!     [--json PATH] [--min-pool-ratio X] [--min-in-memory N]
+//!     [--json PATH] [--min-in-memory N]
 //!     [--min-loopback N] [--min-campaign N] [--min-cluster-ratio X]
 //!     [--min-obs-ratio X] [--min-agg-ratio X] [--quick]
 //! ```
 //!
 //! `--quick` runs a smaller configuration (the CI smoke mode) and does
 //! not write the baseline unless `--json` is explicit.
-//! `--min-pool-ratio X` exits non-zero when the pool falls below `X`
-//! times the scoped baseline's throughput — the regression gate for
-//! "the persistent pool is no slower than per-sweep spawning".
 //! `--min-in-memory N` / `--min-loopback N` are absolute floors in
 //! devices/s on the two transport paths — the no-regression gates for
 //! the reactor + batching work (the loopback floor of 40 000 in `make
@@ -43,7 +39,7 @@
 use std::process::ExitCode;
 
 use eilid_bench::net::{
-    compare_schedulers, measure_aggregated_sweeps, measure_campaigns, measure_cluster_sweeps,
+    measure_aggregated_sweeps, measure_campaigns, measure_cluster_sweeps, measure_inproc_sweep,
     measure_transport_sweeps, render_net_bench_json,
 };
 
@@ -69,7 +65,6 @@ fn run() -> Result<(), String> {
     let clients = flag_value(&args, "--clients", 8)?;
     let window = flag_value(&args, "--window", eilid_net::DEFAULT_PIPELINE_WINDOW)?;
     let rounds = if quick { 2 } else { 5 };
-    let min_pool_ratio: f64 = flag_value(&args, "--min-pool-ratio", 0.0)?;
     let min_in_memory: f64 = flag_value(&args, "--min-in-memory", 0.0)?;
     let min_loopback: f64 = flag_value(&args, "--min-loopback", 0.0)?;
     let min_campaign: f64 = flag_value(&args, "--min-campaign", 0.0)?;
@@ -89,17 +84,12 @@ fn run() -> Result<(), String> {
         None => (!quick).then(|| "BENCH_net.json".to_string()),
     };
 
-    println!("scheduler head-to-head: {devices} devices, {threads} threads, best of {rounds}");
-    let schedulers = compare_schedulers(devices, threads, rounds);
+    println!("in-process sweep: {devices} devices, {threads} threads, best of {rounds}");
+    let inproc = measure_inproc_sweep(devices, threads, rounds);
     println!(
-        "  persistent pool   {:>9.0} devices/s",
-        schedulers.pool.devices_per_second
+        "  Verifier::sweep   {:>9.0} devices/s",
+        inproc.devices_per_second
     );
-    println!(
-        "  scoped baseline   {:>9.0} devices/s",
-        schedulers.scoped.devices_per_second
-    );
-    println!("  pool/scoped       {:>9.2}x", schedulers.pool_ratio());
 
     println!(
         "transport head-to-head: {devices} devices, {clients} client connections, \
@@ -181,18 +171,12 @@ fn run() -> Result<(), String> {
     );
 
     if let Some(json_path) = json_path {
-        let json = render_net_bench_json(&schedulers, &transports, &campaigns, &clusters, &aggs);
+        let json = render_net_bench_json(&inproc, &transports, &campaigns, &clusters, &aggs);
         std::fs::write(&json_path, &json)
             .map_err(|e| format!("cannot write `{json_path}`: {e}"))?;
         println!("wrote {json_path}");
     }
 
-    if schedulers.pool_ratio() < min_pool_ratio {
-        return Err(format!(
-            "pool throughput regression: {:.2}x the scoped baseline is below the accepted {min_pool_ratio}x",
-            schedulers.pool_ratio()
-        ));
-    }
     if transports.in_memory.devices_per_second < min_in_memory {
         return Err(format!(
             "in-memory transport regression: {:.0} devices/s is below the accepted floor of {min_in_memory:.0}",

@@ -1,15 +1,11 @@
-//! Networked attestation throughput: persistent pool vs per-sweep
-//! thread spawning, and in-memory vs loopback-TCP transports.
+//! Networked attestation throughput: the in-process sweep, and
+//! in-memory vs loopback-TCP transports.
 //!
 //! Three questions, three measurements:
 //!
-//! 1. **Did the persistent worker pool pay for itself?** The fleet
-//!    verifier used to spawn one scoped thread per shard *per sweep*;
-//!    ROADMAP flagged that spawn cost as the multi-thread scaling
-//!    ceiling once PR 2 made measurement cheap. [`compare_schedulers`]
-//!    times the pool sweep against the retained `thread::scope`
-//!    baseline on identical fleets — same shards, same trust logic,
-//!    only the scheduling differs.
+//! 1. **What does an in-process sweep cost?** [`measure_inproc_sweep`]
+//!    times `Verifier::sweep` — no codec, no sockets — as the floor the
+//!    networked paths are read against.
 //! 2. **What does the wire cost?** [`measure_transport_sweeps`] runs a
 //!    full protocol sweep (negotiation, challenge, report, verdict)
 //!    over the in-memory pipe — codec + session with no sockets — and
@@ -62,84 +58,39 @@ fn dirty_some(fleet: &mut Fleet) {
     }
 }
 
-/// One scheduler measurement row.
+/// The in-process sweep measurement.
 #[derive(Debug, Clone)]
-pub struct SchedulerRow {
+pub struct InprocSweepRow {
     /// Devices swept.
     pub devices: usize,
-    /// Worker threads.
+    /// Sweep threads.
     pub threads: usize,
     /// Best-of-N steady-state sweep throughput, devices/s.
     pub devices_per_second: f64,
 }
 
-/// Persistent-pool vs scoped-thread sweep throughput on identical
-/// fleets.
-#[derive(Debug, Clone)]
-pub struct SchedulerComparison {
-    /// The persistent worker pool (current implementation).
-    pub pool: SchedulerRow,
-    /// The PR 2 `thread::scope` baseline (spawn per sweep).
-    pub scoped: SchedulerRow,
-}
-
-impl SchedulerComparison {
-    /// Pool throughput relative to the scoped baseline (≥ 1.0 means the
-    /// pool is no slower).
-    pub fn pool_ratio(&self) -> f64 {
-        if self.scoped.devices_per_second <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.pool.devices_per_second / self.scoped.devices_per_second
-    }
-}
-
-/// Best-of-`rounds` steady-state sweep throughput under `sweep`.
-fn best_sweep_rate(
-    fleet: &mut Fleet,
-    verifier: &mut Verifier,
-    rounds: usize,
-    mut sweep: impl FnMut(&mut Verifier, &mut Fleet) -> eilid_fleet::FleetReport,
-) -> f64 {
+/// Times in-process `Verifier::sweep`s: best of `rounds` steady-state
+/// sweeps after a warm-up, ~1% dirtied between sweeps.
+pub fn measure_inproc_sweep(devices: usize, threads: usize, rounds: usize) -> InprocSweepRow {
+    let (mut fleet, mut verifier) = build(devices, threads);
     // Warm-up: key caches + merkle roots.
-    let warmup = sweep(verifier, fleet);
+    let warmup = verifier.sweep(&mut fleet);
     assert_eq!(
         warmup.count(HealthClass::Attested),
-        fleet.len(),
+        devices,
         "bench fleet must attest clean"
     );
     let mut best = 0.0f64;
     for _ in 0..rounds {
-        dirty_some(fleet);
-        let report = sweep(verifier, fleet);
-        assert_eq!(report.count(HealthClass::Attested), fleet.len());
+        dirty_some(&mut fleet);
+        let report = verifier.sweep(&mut fleet);
+        assert_eq!(report.count(HealthClass::Attested), devices);
         best = best.max(report.devices_per_second());
     }
-    best
-}
-
-/// Times pool vs scoped sweeps on identical fleets (best of `rounds`
-/// steady-state sweeps each, ~1% dirtied between sweeps).
-pub fn compare_schedulers(devices: usize, threads: usize, rounds: usize) -> SchedulerComparison {
-    let (mut fleet, mut verifier) = build(devices, threads);
-    let pool_rate = best_sweep_rate(&mut fleet, &mut verifier, rounds, |v, f| v.sweep(f));
-
-    let (mut fleet, mut verifier) = build(devices, threads);
-    let scoped_rate = best_sweep_rate(&mut fleet, &mut verifier, rounds, |v, f| {
-        v.sweep_scoped_baseline(f)
-    });
-
-    SchedulerComparison {
-        pool: SchedulerRow {
-            devices,
-            threads,
-            devices_per_second: pool_rate,
-        },
-        scoped: SchedulerRow {
-            devices,
-            threads,
-            devices_per_second: scoped_rate,
-        },
+    InprocSweepRow {
+        devices,
+        threads,
+        devices_per_second: best,
     }
 }
 
@@ -753,7 +704,7 @@ pub fn measure_cluster_sweeps(
 /// JSON object (the offline dependency set has no serde_json) extending
 /// the repo's perf trajectory to the networked path.
 pub fn render_net_bench_json(
-    schedulers: &SchedulerComparison,
+    inproc: &InprocSweepRow,
     transports: &TransportComparison,
     campaigns: &CampaignComparison,
     clusters: &ClusterComparison,
@@ -763,8 +714,7 @@ pub fn render_net_bench_json(
         "{{\n  \"bench\": \"net_sweep\",\n  \"devices\": {},\n  \"threads\": {},\n  \
          \"clients\": {},\n  \"connections\": {},\n  \"pipeline_window\": {},\n  \
          \"batch_size\": {},\n  \"poller_backend\": \"{}\",\n  \
-         \"pool_devices_per_second\": {:.0},\n  \
-         \"scoped_baseline_devices_per_second\": {:.0},\n  \"pool_vs_scoped_ratio\": {:.2},\n  \
+         \"inproc_sweep_devices_per_second\": {:.0},\n  \
          \"in_memory_transport_devices_per_second\": {:.0},\n  \
          \"loopback_tcp_devices_per_second\": {:.0},\n  \
          \"loopback_tcp_observed_devices_per_second\": {:.0},\n  \
@@ -790,16 +740,14 @@ pub fn render_net_bench_json(
          \"agg_roots_verified\": {},\n  \
          \"agg_shards\": {},\n  \
          \"agg_short_circuited\": {}\n}}\n",
-        schedulers.pool.devices,
-        schedulers.pool.threads,
+        inproc.devices,
+        inproc.threads,
         transports.in_memory.clients,
         transports.in_memory.clients,
         transports.pipeline_window,
         transports.batch_size,
         transports.poller_backend.name(),
-        schedulers.pool.devices_per_second,
-        schedulers.scoped.devices_per_second,
-        schedulers.pool_ratio(),
+        inproc.devices_per_second,
         transports.in_memory.devices_per_second,
         transports.loopback.devices_per_second,
         transports.loopback_observed.devices_per_second,
@@ -835,11 +783,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scheduler_comparison_is_sane() {
-        let comparison = compare_schedulers(16, 2, 1);
-        assert!(comparison.pool.devices_per_second > 0.0);
-        assert!(comparison.scoped.devices_per_second > 0.0);
-        assert!(comparison.pool_ratio() > 0.0);
+    fn inproc_sweep_is_sane() {
+        let row = measure_inproc_sweep(16, 2, 1);
+        assert_eq!((row.devices, row.threads), (16, 2));
+        assert!(row.devices_per_second > 0.0);
     }
 
     #[test]
@@ -911,17 +858,10 @@ mod tests {
 
     #[test]
     fn bench_json_is_well_formed() {
-        let schedulers = SchedulerComparison {
-            pool: SchedulerRow {
-                devices: 1000,
-                threads: 4,
-                devices_per_second: 250_000.0,
-            },
-            scoped: SchedulerRow {
-                devices: 1000,
-                threads: 4,
-                devices_per_second: 240_000.0,
-            },
+        let inproc = InprocSweepRow {
+            devices: 1000,
+            threads: 4,
+            devices_per_second: 250_000.0,
         };
         let transports = TransportComparison {
             in_memory: TransportRow {
@@ -1002,9 +942,9 @@ mod tests {
             roots_verified: 16,
             short_circuited: 1000,
         };
-        let json = render_net_bench_json(&schedulers, &transports, &campaigns, &clusters, &aggs);
+        let json = render_net_bench_json(&inproc, &transports, &campaigns, &clusters, &aggs);
         assert!(json.contains("\"bench\": \"net_sweep\""));
-        assert!(json.contains("\"pool_vs_scoped_ratio\": 1.04"));
+        assert!(json.contains("\"inproc_sweep_devices_per_second\": 250000"));
         assert!(json.contains("\"connections\": 8"));
         assert!(json.contains("\"batch_size\": 64"));
         assert!(json.contains("\"pipeline_window\": 32"));

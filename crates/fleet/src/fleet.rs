@@ -251,8 +251,8 @@ impl Fleet {
         &mut self.ledger
     }
 
-    /// Runs every device for (up to) `cycles` clock cycles on the worker
-    /// pool, recording violation resets and recoveries in the ledger.
+    /// Runs every device for (up to) `cycles` clock cycles on the fleet's
+    /// threads, recording violation resets and recoveries in the ledger.
     pub fn run_slice(&mut self, cycles: u64) -> SliceReport {
         // One ledger pass up front: devices whose last violation reset
         // has not yet been followed by a completed run.

@@ -17,11 +17,13 @@
 //!   MAC runs on. The fleet [`Verifier`] and the `eilid_net` gateway
 //!   each own one, so the two cannot drift.
 //! * [`Verifier`] — issues batched attestation challenges across the
-//!   fleet and verifies the reports on the persistent [`WorkerPool`]
-//!   (one job per non-empty shard, no async runtime), aggregating
-//!   per-device health into a [`FleetReport`]. Per-device and
-//!   aggregated sweeps are one verification pass; aggregation only
-//!   folds its reports into evidence trees.
+//!   fleet and verifies the reports on scoped threads
+//!   ([`exec::parallel_map_mut`], one task per non-empty shard, no
+//!   async runtime, no persistent pool), aggregating per-device health
+//!   into a [`FleetReport`]. Per-device and aggregated sweeps are one
+//!   verification pass; aggregation only folds its reports into
+//!   evidence trees. [`Fleet::run_slice`], campaigns and sweeps share
+//!   that one scheduler.
 //! * incremental measurement — by default
 //!   ([`eilid_casu::MeasurementScheme::Merkle`]) devices answer
 //!   challenges from an [`eilid_casu::IncrementalMeasurer`]: a chunked
@@ -69,10 +71,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// Unsafe code is denied crate-wide; the single, documented exception is
-// the lifetime-erasure in `pool::WorkerPool::scope`, which re-creates
-// `std::thread::scope`'s join guarantee on persistent worker threads.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;
@@ -82,7 +81,6 @@ pub mod exec;
 pub mod fixtures;
 pub mod fleet;
 pub mod ops;
-pub mod pool;
 pub mod report;
 pub mod trust;
 pub mod verifier;
@@ -100,7 +98,6 @@ pub use ops::{
     merge_agg_sweeps, merge_health, merge_phases, merge_reports, merge_sweeps, AggSweepSummary,
     CampaignPhase, FleetOps, LocalOps, OpsError, OpsHealth, SweepSummary,
 };
-pub use pool::{PoolBusy, WorkerPool};
 pub use report::{DeviceHealth, FleetReport, HealthClass, Ledger, LedgerEvent};
 pub use trust::{CohortSnapshot, TrustCore, TrustPass, SHARD_COUNT};
 pub use verifier::{ServiceSnapshot, Verifier};

@@ -6,7 +6,7 @@
 //! heals a fleet. This module defines the operator-facing API once:
 //!
 //! * [`LocalOps`] — the in-process backend. Sweeps run on the
-//!   [`Verifier`]'s persistent worker pool; campaigns drive the
+//!   [`Verifier`]'s scoped shard threads; campaigns drive the
 //!   [`CampaignRun`] engine through the in-process
 //!   [`LocalExecutor`](crate::campaign::LocalExecutor).
 //! * `eilid_net::RemoteOps` — the wire backend. The same trait methods

@@ -39,7 +39,7 @@ impl fmt::Display for HealthClass {
 }
 
 /// Per-device result of one attestation sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceHealth {
     /// The attested device.
     pub device: DeviceId,

@@ -1,9 +1,9 @@
-//! The fleet verifier: attestation sweeps on the persistent worker
-//! pool, judged by the verifier's [`TrustCore`].
+//! The fleet verifier: attestation sweeps on scoped threads
+//! ([`parallel_map_mut`], one task per non-empty shard), judged by the
+//! verifier's [`TrustCore`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use eilid_casu::{
@@ -12,9 +12,9 @@ use eilid_casu::{
 use eilid_workloads::WorkloadId;
 
 use crate::device::{DeviceId, SimDevice};
+use crate::exec::parallel_map_mut;
 use crate::fleet::Fleet;
 use crate::ops::{class_index, AggSweepSummary, SweepSummary};
-use crate::pool::WorkerPool;
 use crate::report::{DeviceHealth, FleetReport, HealthClass, LedgerEvent};
 use crate::trust::{pmem_challenge, shard_of, CohortSnapshot, TrustCore, SHARD_COUNT};
 
@@ -26,9 +26,6 @@ struct ShardPass {
     shard: u16,
     checked: Vec<(DeviceHealth, AttestationReport)>,
 }
-
-/// One shard's verification job, ready for [`WorkerPool::scope`].
-type ShardJob<'env> = (usize, Box<dyn FnOnce() -> ShardPass + Send + 'env>);
 
 /// Exportable, self-contained snapshot of the verifier's trust state —
 /// what the `eilid_net` attestation gateway is provisioned with. The
@@ -54,51 +51,40 @@ pub struct ServiceSnapshot {
 ///
 /// Owns the fleet's [`TrustCore`] (root key, goldens, the sharded
 /// derive-once key cache, the crypto backend), the challenge nonce
-/// state, and the persistent [`WorkerPool`] sweeps run on.
-#[derive(Debug)]
+/// state, and the number of threads sweeps run on.
+#[derive(Debug, Clone)]
 pub struct Verifier {
     trust: TrustCore,
-    pool: WorkerPool,
+    threads: usize,
     next_nonce: u64,
-}
-
-impl Clone for Verifier {
-    /// Cloning duplicates the trust state (keys, goldens, caches) and
-    /// spins up a *fresh* worker pool with the same parallelism —
-    /// worker threads are not shareable state.
-    fn clone(&self) -> Self {
-        Verifier {
-            trust: self.trust.clone(),
-            pool: WorkerPool::new(self.pool.workers(), SHARD_COUNT, SHARD_COUNT),
-            next_nonce: self.next_nonce,
-        }
-    }
 }
 
 impl Verifier {
     /// Enrolls a fleet: records each cohort's golden measurement (under
     /// the fleet's measurement scheme, over the layout the cohort's
-    /// devices were actually built with) and spins up the persistent
-    /// worker pool with one worker per fleet thread.
+    /// devices were actually built with), measuring the cohorts on the
+    /// fleet's threads; sweeps run on as many threads as the fleet.
     pub(crate) fn enroll(root: DeviceKey, fleet: &Fleet) -> Self {
         let scheme = fleet.scheme();
-        let cohorts = fleet
-            .cohort_ids()
-            .into_iter()
-            .map(|cohort| {
-                let state = fleet.cohort(cohort).expect("cohort exists");
-                let golden = CohortSnapshot {
-                    layout: state.layout.clone(),
-                    current: scheme.measure_pmem(&state.golden, &state.layout),
-                    previous: Vec::new(),
-                    golden: state.golden.clone(),
-                };
-                (cohort, golden)
-            })
-            .collect();
+        // Besides spreading the golden hashing, spawning the fleet's
+        // threads here, after the devices are allocated, keeps glibc from
+        // returning a dropped fleet's heap to the OS before the next build
+        // re-faults it: without it, rebuilding a 10k-device fleet took 2x
+        // as long.
+        let mut ids = fleet.cohort_ids();
+        let goldens = parallel_map_mut(&mut ids, fleet.threads(), |cohort| {
+            let state = fleet.cohort(*cohort).expect("cohort exists");
+            CohortSnapshot {
+                layout: state.layout.clone(),
+                current: scheme.measure_pmem(&state.golden, &state.layout),
+                previous: Vec::new(),
+                golden: state.golden.clone(),
+            }
+        });
+        let cohorts = ids.into_iter().zip(goldens).collect();
         Verifier {
             trust: TrustCore::new(root, scheme, cohorts, Arc::new(SoftwareProvider)),
-            pool: WorkerPool::new(fleet.threads(), SHARD_COUNT, SHARD_COUNT),
+            threads: fleet.threads(),
             next_nonce: 1,
         }
     }
@@ -141,17 +127,17 @@ impl Verifier {
         self.trust.key_derivations()
     }
 
-    /// Number of persistent sweep workers.
+    /// Number of threads sweeps run on.
     pub fn parallelism(&self) -> usize {
-        self.pool.workers()
+        self.threads
     }
 
-    /// Changes the number of persistent sweep workers. The stable shard
-    /// set (and every cached key in it) is untouched: only the
-    /// shard→worker routing changes, so resizing between sweeps never
+    /// Changes the number of threads sweeps run on (at least 1). The
+    /// stable shard set (and every cached key in it) is untouched: only
+    /// the shard→thread split changes, so resizing between sweeps never
     /// costs a re-derivation.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.pool.set_workers(workers);
+    pub fn set_parallelism(&mut self, threads: usize) {
+        self.threads = threads.max(1);
     }
 
     /// The current golden measurement for `cohort`.
@@ -197,12 +183,12 @@ impl Verifier {
     fn check_shard(
         trust: &TrustCore,
         shard: usize,
-        targets: Vec<&mut SimDevice>,
+        targets: &mut [&mut SimDevice],
         nonce_base: u64,
     ) -> ShardPass {
         let mut pass = trust.pass();
         let checked = targets
-            .into_iter()
+            .iter_mut()
             .map(|device| {
                 // Offset nonces so no two devices ever share one.
                 let challenge = pmem_challenge(device.device().layout(), nonce_base + device.id());
@@ -223,27 +209,34 @@ impl Verifier {
         }
     }
 
-    /// Partitions `targets` into the stable shards (`id % SHARD_COUNT`),
-    /// each in ascending id order.
-    fn partition(targets: Vec<&mut SimDevice>) -> Vec<Vec<&mut SimDevice>> {
+    /// Partitions `targets` into the stable shards (`id % SHARD_COUNT`):
+    /// the non-empty ones in ascending shard order, each in ascending id
+    /// order.
+    fn partition(targets: Vec<&mut SimDevice>) -> Vec<(usize, Vec<&mut SimDevice>)> {
         let mut shards: Vec<Vec<&mut SimDevice>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
         for device in targets {
             shards[shard_of(device.id())].push(device);
         }
-        for shard in &mut shards {
-            shard.sort_by_key(|device| device.id());
-        }
         shards
+            .into_iter()
+            .enumerate()
+            .filter(|(_, targets)| !targets.is_empty())
+            .map(|(shard, mut targets)| {
+                targets.sort_by_key(|device| device.id());
+                (shard, targets)
+            })
+            .collect()
     }
 
     /// The one verification pass behind every sweep flavour: challenges
     /// each device in `ids` under a freshly reserved nonce block and
-    /// judges its report. The persistent pool runs one job per non-empty
-    /// shard, each owning its shard's key cache for the job (a
-    /// single-worker pool runs the same jobs inline — deterministic and
-    /// profiler-friendly). Returns the nonce base, which aggregated
-    /// sweeps use as their epoch, the per-shard results in ascending
-    /// shard order, and the time the shard jobs took.
+    /// judges its report. [`parallel_map_mut`] checks the non-empty
+    /// shards on up to [`Verifier::parallelism`] threads, each shard on
+    /// one thread under one [`TrustPass`](crate::TrustPass) (one thread
+    /// runs them inline — deterministic and profiler-friendly). Returns
+    /// the nonce base, which aggregated sweeps use as their epoch, the
+    /// per-shard results in ascending shard order, and the time the
+    /// shard checks took.
     fn verify_pass(
         &mut self,
         fleet: &mut Fleet,
@@ -251,22 +244,11 @@ impl Verifier {
     ) -> (u64, Vec<ShardPass>, Duration) {
         let nonce_base = self.reserve_challenge_nonces(ids);
         let trust = &self.trust;
-        let jobs: Vec<ShardJob<'_>> = Self::partition(fleet.devices_by_ids_mut(ids))
-            .into_iter()
-            .enumerate()
-            .filter(|(_, targets)| !targets.is_empty())
-            .map(|(shard, targets)| {
-                let job: Box<dyn FnOnce() -> ShardPass + Send + '_> =
-                    Box::new(move || Self::check_shard(trust, shard, targets, nonce_base));
-                (shard, job)
-            })
-            .collect();
+        let mut shards = Self::partition(fleet.devices_by_ids_mut(ids));
         let started = Instant::now();
-        let passes = if self.pool.workers() == 1 {
-            jobs.into_iter().map(|(_, job)| job()).collect()
-        } else {
-            self.pool.scope(jobs)
-        };
+        let passes = parallel_map_mut(&mut shards, self.threads, |(shard, targets)| {
+            Self::check_shard(trust, *shard, targets, nonce_base)
+        });
         (nonce_base, passes, started.elapsed())
     }
 
@@ -313,10 +295,10 @@ impl Verifier {
     ///
     /// Every device gets a fresh challenge over its full application PMEM
     /// range. Devices are partitioned into stable shards by
-    /// `id % SHARD_COUNT`; the persistent pool runs one job per
-    /// non-empty shard, so keys are derived once per device *ever*, not
-    /// once per sweep — and no threads are spawned per sweep. Flagged
-    /// devices are recorded in the fleet ledger.
+    /// `id % SHARD_COUNT` and each non-empty shard is checked on one
+    /// thread under its key-cache shard, so keys are derived once per
+    /// device *ever*, not once per sweep. Flagged devices are recorded
+    /// in the fleet ledger.
     pub fn sweep(&mut self, fleet: &mut Fleet) -> FleetReport {
         let ids: Vec<DeviceId> = fleet.devices().iter().map(|d| d.id()).collect();
         self.sweep_devices(fleet, &ids)
@@ -327,16 +309,12 @@ impl Verifier {
     /// Shard assignment is `id % SHARD_COUNT` — stable across sweeps
     /// (and parallelism changes) so key caches keep hitting, and evenly
     /// balanced for dense id sets (the whole-fleet sweep). The report's
-    /// `threads` field records the workers that actually ran shard
-    /// batches, not the configured count.
+    /// `threads` field records the threads that actually checked shards
+    /// — `min(parallelism, non-empty shards)` — not the configured
+    /// count.
     pub fn sweep_devices(&mut self, fleet: &mut Fleet, ids: &[DeviceId]) -> FleetReport {
         let (_, passes, elapsed) = self.verify_pass(fleet, ids);
-        let threads = passes
-            .iter()
-            .map(|pass| self.pool.worker_of(usize::from(pass.shard)))
-            .collect::<BTreeSet<usize>>()
-            .len()
-            .max(1);
+        let threads = self.threads.min(passes.len()).max(1);
         Self::report(fleet, ids, passes, elapsed, threads)
     }
 
@@ -419,54 +397,5 @@ impl Verifier {
             fleet_root: eilid_casu::agg::fleet_root(provider, &shard_roots),
             shard_roots,
         }
-    }
-
-    /// The PR 2 sweep strategy — `thread::scope` with per-sweep thread
-    /// spawning — kept as the benchmark baseline the persistent pool is
-    /// measured against (`BENCH_net.json`). The same shard jobs as
-    /// [`Verifier::sweep`]; only the scheduling differs.
-    #[doc(hidden)]
-    pub fn sweep_scoped_baseline(&mut self, fleet: &mut Fleet) -> FleetReport {
-        let ids: Vec<DeviceId> = fleet.devices().iter().map(|d| d.id()).collect();
-        let nonce_base = self.reserve_challenge_nonces(&ids);
-        let workers = self.pool.workers().max(1);
-        // Group the stable shards into one chunk per worker, exactly as
-        // the pool routes them, then spawn a scoped thread per chunk —
-        // paying the per-sweep spawn/join cost the pool eliminates.
-        let mut chunks: Vec<Vec<(usize, Vec<&mut SimDevice>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (shard, targets) in Self::partition(fleet.devices_by_ids_mut(&ids))
-            .into_iter()
-            .enumerate()
-        {
-            if !targets.is_empty() {
-                chunks[shard % workers].push((shard, targets));
-            }
-        }
-        let trust = &self.trust;
-        let started = Instant::now();
-        let run_chunk = move |chunk: Vec<(usize, Vec<&mut SimDevice>)>| -> Vec<ShardPass> {
-            chunk
-                .into_iter()
-                .map(|(shard, targets)| Self::check_shard(trust, shard, targets, nonce_base))
-                .collect()
-        };
-        let passes: Vec<ShardPass> = if workers == 1 {
-            chunks.into_iter().flat_map(run_chunk).collect()
-        } else {
-            thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .filter(|chunk| !chunk.is_empty())
-                    .map(|chunk| scope.spawn(move || run_chunk(chunk)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().expect("sweep shard thread panicked"))
-                    .collect()
-            })
-        };
-        let elapsed = started.elapsed();
-        Self::report(fleet, &ids, passes, elapsed, workers)
     }
 }

@@ -9,7 +9,9 @@
 //!   verifier must never echo a previous sweep's verdict);
 //! * cross-device replay — present device A's honestly produced report
 //!   as device B's answer and assert the cached-key verifier rejects it
-//!   (per-device keys, challenge binding).
+//!   (per-device keys, challenge binding);
+//! * schedule independence — the thread count a sweep runs on must
+//!   never change its evidence: verdicts, shard roots and fleet root.
 
 use eilid_casu::{AttestError, AttestationVerifier, Attestor, DeviceKey, MeasurementScheme};
 use eilid_fleet::{FleetBuilder, HealthClass};
@@ -216,4 +218,53 @@ fn subset_sweeps_cache_lazily_and_stay_correct() {
     let report = verifier.sweep(&mut fleet);
     assert_eq!(report.count(HealthClass::Attested), 6);
     assert_eq!(verifier.cached_keys(), 6);
+}
+
+/// The schedule never changes evidence: the same fleet (with tampered
+/// devices in several shards) swept on 1, 2, 3 and 16 threads yields
+/// bit-identical aggregated evidence — epoch, every shard root, the
+/// fleet root — and identical per-device verdicts.
+#[test]
+fn sweep_evidence_is_independent_of_parallelism() {
+    const DEVICES: usize = 40;
+    let (mut fleet, verifier) = FleetBuilder::new(root_key())
+        .devices(DEVICES)
+        .threads(2)
+        .build()
+        .unwrap();
+    for index in [3usize, 17, 22] {
+        let device = &mut fleet.devices_mut()[index];
+        let memory = &mut device.device_mut().cpu_mut().memory;
+        let original = memory.read_byte(0xE010);
+        memory.write_byte(0xE010, original ^ 0x01);
+    }
+
+    let runs: Vec<_> = [1usize, 2, 3, 16]
+        .into_iter()
+        .map(|threads| {
+            let (mut fleet, mut verifier) = (fleet.clone(), verifier.clone());
+            verifier.set_parallelism(threads);
+            let agg = verifier.sweep_aggregated(&mut fleet);
+            let report = verifier.sweep(&mut fleet);
+            assert_eq!(report.threads, threads.min(agg.shards));
+            (threads, agg, report)
+        })
+        .collect();
+
+    let (_, reference_agg, reference) = &runs[0];
+    assert_eq!(reference.devices_in(HealthClass::Tampered), vec![3, 17, 22]);
+    assert_eq!(reference.count(HealthClass::Attested), DEVICES - 3);
+    for (threads, agg, report) in &runs[1..] {
+        assert_eq!(agg.epoch, reference_agg.epoch, "{threads} threads");
+        assert_eq!(
+            agg.shard_roots, reference_agg.shard_roots,
+            "{threads} threads"
+        );
+        assert_eq!(
+            agg.fleet_root, reference_agg.fleet_root,
+            "{threads} threads"
+        );
+        assert_eq!(agg, reference_agg, "{threads} threads");
+        assert_eq!(report.devices, reference.devices, "{threads} threads");
+    }
 }

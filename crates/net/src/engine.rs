@@ -52,7 +52,7 @@ use eilid_fleet::trust::shard_of;
 use eilid_fleet::{
     Campaign, CampaignRun, CohortInfo, DeviceId, FleetError, HealthClass, Ledger, LedgerEvent,
     PausedCampaign, PreUpdateSnapshot, RollbackOutcome, WaveExecutor, WaveRollout, WaveSpec,
-    WorkerPool, SHARD_COUNT,
+    SHARD_COUNT,
 };
 use eilid_workloads::WorkloadId;
 
@@ -61,6 +61,7 @@ use eilid_fleet::ops::class_index;
 use crate::gateway::GatewayCounters;
 use crate::metrics::{NetMetrics, TRACE_CAT_ENGINE, TRACE_ENGINE_WAVE};
 use crate::poller::Waker;
+use crate::pool::WorkerPool;
 use crate::service::{health_to_wire, AttestationService, VerifyTask};
 use crate::wire::{
     CampaignOp, ErrorCode, Frame, ProbeMode, WireHealth, CAMPAIGN_STATE_FINISHED,

@@ -1,6 +1,6 @@
 //! The networked attestation gateway: a readiness-driven reactor
-//! feeding *batched* verification work to the persistent
-//! [`WorkerPool`](eilid_fleet::WorkerPool).
+//! feeding *batched* verification work to its persistent, shard-affine
+//! [`WorkerPool`] — the gateway's admission control.
 //!
 //! Architecture (std-only, no async runtime):
 //!
@@ -48,13 +48,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use eilid_fleet::trust::shard_of;
-use eilid_fleet::{WorkerPool, SHARD_COUNT};
+use eilid_fleet::SHARD_COUNT;
 
 use crate::engine::{EngineInput, OpsEngine, Registry};
 use crate::metrics::{NetMetrics, TRACE_CAT_REACTOR, TRACE_REACTOR_PASS};
 use crate::poller::{
     Event, IdleBackoff, Interest, Poller, PollerBackend, PollerChoice, WaitOutcome, Waker,
 };
+use crate::pool::WorkerPool;
 use crate::service::{AttestationService, Session, SessionOutput, VerifyTask};
 use crate::wire::{ErrorCode, Frame, FrameDecoder};
 

@@ -24,10 +24,12 @@
 //! * [`gateway`] — a std-only, readiness-driven TCP [`Gateway`]
 //!   reactor: it owns the sockets and the framing, coalesces decoded
 //!   reports into per-shard batches, and runs MAC verification as one
-//!   weighted job per batch on the persistent
-//!   [`eilid_fleet::WorkerPool`]; overload turns into device-scoped
-//!   [`Frame::DeviceError`] `Busy` backpressure frames, not unbounded
-//!   buffering.
+//!   weighted job per batch on its persistent [`WorkerPool`].
+//! * [`pool`] — that [`WorkerPool`]: shard-affine workers with a
+//!   per-worker budget in report units, so overload turns into
+//!   device-scoped [`Frame::DeviceError`] `Busy` backpressure frames,
+//!   not unbounded buffering. It is the gateway's admission control;
+//!   in-process fleet sweeps run on scoped threads instead.
 //! * [`cluster`] — multi-gateway scale-out: deterministic shard →
 //!   gateway [`Placement`] (rendezvous hashing over the fixed fleet
 //!   shards), the fan-out [`ClusterOps`] operator backend that merges
@@ -66,8 +68,7 @@
 //!    tags introduced with the fleet subsystem).
 
 // Unsafe code is denied crate-wide; the single exception is the
-// documented epoll/eventfd syscall module (`poller::sys`), mirroring
-// the lifetime-erasure exception in `eilid_fleet::pool`.
+// documented epoll/eventfd syscall module (`poller::sys`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -79,6 +80,7 @@ pub mod gateway;
 pub mod metrics;
 pub mod ops;
 pub mod poller;
+pub mod pool;
 pub mod service;
 pub mod transport;
 pub mod wire;
@@ -101,6 +103,7 @@ pub use ops::{with_attached_fleet, DeviceAgent, RemoteOps};
 pub use poller::{
     Event, IdleBackoff, Interest, Poller, PollerBackend, PollerChoice, WaitOutcome, Waker,
 };
+pub use pool::{PoolBusy, WorkerPool};
 pub use service::{
     health_from_wire, health_to_wire, serve_transport, AttestationService, ChallengeError, Session,
     SessionOutput, VerifyTask, MAX_PENDING_CHALLENGES,

@@ -12,10 +12,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use eilid_fleet::WorkerPool;
 use eilid_obs::{Counter, Gauge, Histogram, MetricsRegistry, RegistrySnapshot, TraceRing};
 
 use crate::gateway::GatewayCounters;
+use crate::pool::WorkerPool;
 use crate::service::AttestationService;
 use crate::wire::ErrorCode;
 
