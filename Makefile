@@ -137,11 +137,14 @@ net-bench-smoke:
 perfbench-test:
 	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# perfbench/ is its own cargo workspace, so each check runs twice.
 fmt:
 	cargo fmt --all --check
+	cargo fmt --manifest-path perfbench/Cargo.toml --all --check
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+	cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # `unsafe` stays where it earns its place: SHA-NI compression
 # (crates/casu/src/sha256.rs) and the epoll FFI (crates/net/src/poller.rs).

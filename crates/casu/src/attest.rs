@@ -47,13 +47,23 @@ pub struct AttestationReport {
 /// into an authenticated PMEM write.
 const ATTEST_MAC_TAG: &[u8] = b"eilid-attest-v1";
 
-fn report_message(challenge: &Challenge, measurement: &[u8; 32]) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(ATTEST_MAC_TAG.len() + 44);
-    msg.extend_from_slice(ATTEST_MAC_TAG);
-    msg.extend_from_slice(&challenge.nonce.to_le_bytes());
-    msg.extend_from_slice(&challenge.start.to_le_bytes());
-    msg.extend_from_slice(&challenge.end.to_le_bytes());
-    msg.extend_from_slice(measurement);
+/// Length of the report MAC input: tag ‖ nonce ‖ start ‖ end ‖ measurement.
+const REPORT_MESSAGE_LEN: usize = ATTEST_MAC_TAG.len() + 8 + 2 + 2 + 32;
+
+fn report_message(challenge: &Challenge, measurement: &[u8; 32]) -> [u8; REPORT_MESSAGE_LEN] {
+    let mut msg = [0u8; REPORT_MESSAGE_LEN];
+    let fields: [&[u8]; 5] = [
+        ATTEST_MAC_TAG,
+        &challenge.nonce.to_le_bytes(),
+        &challenge.start.to_le_bytes(),
+        &challenge.end.to_le_bytes(),
+        measurement,
+    ];
+    let mut at = 0;
+    for field in fields {
+        msg[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
     msg
 }
 

@@ -20,25 +20,48 @@ pub const TAG_SIZE: usize = DIGEST_SIZE;
 /// assert_eq!(tag.len(), 32);
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; TAG_SIZE] {
-    let mut key_block = [0u8; BLOCK_SIZE];
-    if key.len() > BLOCK_SIZE {
-        let digest = crate::sha256::sha256(key);
-        key_block[..DIGEST_SIZE].copy_from_slice(&digest);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+    HmacSchedule::derive(key).mac(message)
+}
+
+/// A prepared HMAC key: the two SHA-256 states after absorbing the
+/// ipad / opad blocks. [`hmac_sha256`] derives one per call; a verifier
+/// that MACs many messages under one key can derive it once and clone
+/// the midstates per message, saving two compressions each.
+#[derive(Debug, Clone)]
+pub(crate) struct HmacSchedule {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacSchedule {
+    /// Prepares `key` per RFC 2104: keys longer than a block are hashed
+    /// down first, shorter ones are zero-padded to the block size.
+    pub(crate) fn derive(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_SIZE];
+        if key.len() > BLOCK_SIZE {
+            key_block[..DIGEST_SIZE].copy_from_slice(&crate::sha256::sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let pad = |byte: u8| {
+            let mut hasher = Sha256::new();
+            hasher.update(&key_block.map(|b| b ^ byte));
+            hasher
+        };
+        HmacSchedule {
+            inner: pad(0x36),
+            outer: pad(0x5c),
+        }
     }
 
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    /// `HMAC(key, message)` finished from copies of the midstates.
+    pub(crate) fn mac(&self, message: &[u8]) -> [u8; TAG_SIZE] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
 }
 
 /// Constant-time comparison of two MAC tags.

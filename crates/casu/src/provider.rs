@@ -29,8 +29,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::hmac::{hmac_sha256, TAG_SIZE};
-use crate::sha256::{sha256, Sha256, BLOCK_SIZE, DIGEST_SIZE};
+use crate::hmac::{hmac_sha256, HmacSchedule, TAG_SIZE};
+use crate::sha256::{sha256, DIGEST_SIZE};
 
 /// A backend for the verifier-side hash/MAC workload.
 ///
@@ -98,46 +98,6 @@ impl CryptoProvider for SoftwareProvider {
 
     fn hmac(&self, key: &[u8], message: &[u8]) -> [u8; TAG_SIZE] {
         hmac_sha256(key, message)
-    }
-}
-
-/// A precomputed HMAC key schedule: the two SHA-256 states after
-/// absorbing the ipad / opad blocks. Cloning one (a few hundred bytes
-/// of `Copy` fields) replaces two compressions per MAC.
-#[derive(Debug, Clone)]
-struct HmacSchedule {
-    inner: Sha256,
-    outer: Sha256,
-}
-
-impl HmacSchedule {
-    /// Derives the schedule exactly as [`hmac_sha256`] prepares its key
-    /// block — bit-for-bit, including the hash-down of oversized keys.
-    fn derive(key: &[u8]) -> Self {
-        let mut key_block = [0u8; BLOCK_SIZE];
-        if key.len() > BLOCK_SIZE {
-            let digest = sha256(key);
-            key_block[..DIGEST_SIZE].copy_from_slice(&digest);
-        } else {
-            key_block[..key.len()].copy_from_slice(key);
-        }
-        let mut inner = Sha256::new();
-        let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-        inner.update(&ipad);
-        let mut outer = Sha256::new();
-        let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-        outer.update(&opad);
-        HmacSchedule { inner, outer }
-    }
-
-    /// Finishes `HMAC(key, message)` from the cloned midstates.
-    fn mac(&self, message: &[u8]) -> [u8; TAG_SIZE] {
-        let mut inner = self.inner.clone();
-        inner.update(message);
-        let inner_digest = inner.finalize();
-        let mut outer = self.outer.clone();
-        outer.update(&inner_digest);
-        outer.finalize()
     }
 }
 

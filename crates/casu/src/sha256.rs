@@ -102,15 +102,18 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian length, written into
+        // the pending block in place. It takes one compression, or two
+        // when the 0x80 byte leaves no room for the length.
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= BLOCK_SIZE - 8 {
+            self.compress(&block);
+            block = [0; BLOCK_SIZE];
         }
-        // Appending the length must not be counted towards total_len again,
-        // but total_len is already captured in bit_len, so plain update is fine.
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        block[BLOCK_SIZE - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
 
         let mut digest = [0u8; DIGEST_SIZE];
         for (i, word) in self.state.iter().enumerate() {
@@ -373,6 +376,67 @@ mod tests {
             h.update(&data);
             // The point is that padding logic terminates and matches one-shot.
             assert_eq!(h.finalize(), sha256(&data), "length {len}");
+        }
+    }
+
+    /// The byte-at-a-time padding `finalize` used to run: 0x80, then
+    /// single zero bytes until 56 bytes of the block are filled, then
+    /// the 64-bit length. Kept as the reference the one-step padding is
+    /// pinned against.
+    fn finalize_bytewise(mut hasher: Sha256) -> [u8; DIGEST_SIZE] {
+        let bit_len = hasher.total_len.wrapping_mul(8);
+        hasher.update(&[0x80]);
+        while hasher.buffer_len != 56 {
+            hasher.update(&[0]);
+        }
+        hasher.update(&bit_len.to_be_bytes());
+        assert_eq!(hasher.buffer_len, 0);
+        let mut digest = [0u8; DIGEST_SIZE];
+        for (i, word) in hasher.state.iter().enumerate() {
+            digest[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        digest
+    }
+
+    #[test]
+    fn padding_matches_bytewise_reference_at_every_length_and_split() {
+        let data: Vec<u8> = (0..=192u32).map(|i| (i * 31 + 7) as u8).collect();
+        for len in 0..=192usize {
+            let message = &data[..len];
+            let mut one_shot = Sha256::new();
+            one_shot.update(message);
+            let expected = finalize_bytewise(one_shot.clone());
+            assert_eq!(one_shot.finalize(), expected, "length {len}");
+            for split in 0..=len {
+                let mut hasher = Sha256::new();
+                hasher.update(&message[..split]);
+                hasher.update(&message[split..]);
+                assert_eq!(hasher.finalize(), expected, "length {len} split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn padding_boundary_vectors() {
+        for (len, digest) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(hex(&sha256(&vec![b'a'; len])), digest, "a x {len}");
         }
     }
 

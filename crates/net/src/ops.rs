@@ -21,6 +21,7 @@
 //!   stop and join the agents.
 
 use std::borrow::{Borrow, BorrowMut};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -621,6 +622,10 @@ impl<T: Transport> DeviceAgent<T> {
     /// [`Transport::send_batch`] — one write syscall instead of one per
     /// device.
     ///
+    /// Each request reaches the device it names through an id → slot
+    /// map built once per call; when an id repeats in `devices`, its
+    /// first occurrence answers.
+    ///
     /// # Errors
     ///
     /// Transport failures and protocol violations; an orderly close is
@@ -630,6 +635,7 @@ impl<T: Transport> DeviceAgent<T> {
         devices: &mut [D],
         stop: &AtomicBool,
     ) -> Result<(), NetError> {
+        let slots = device_slots(devices);
         let mut replies: Vec<Frame> = Vec::new();
         loop {
             let first = match self.transport.recv() {
@@ -656,7 +662,7 @@ impl<T: Transport> DeviceAgent<T> {
                         // gateway cannot panic the agent.
                         let in_range =
                             usize::from(start) + usize::from(len) <= eilid_msp430::ADDRESS_SPACE;
-                        let reply = match find_device(devices, device) {
+                        let reply = match find_device(devices, &slots, device) {
                             Some(sim) if in_range => snapshot_report(sim, self.scheme, start, len),
                             Some(_) => Frame::DeviceError {
                                 device,
@@ -670,7 +676,7 @@ impl<T: Transport> DeviceAgent<T> {
                         replies.push(reply);
                     }
                     Frame::UpdateRequest { device, request } => {
-                        let status = match find_device(devices, device) {
+                        let status = match find_device(devices, &slots, device) {
                             Some(sim) => match sim.apply_update(&request) {
                                 Ok(()) => 0,
                                 Err(err) => update_error_code(&err),
@@ -680,7 +686,7 @@ impl<T: Transport> DeviceAgent<T> {
                         replies.push(Frame::UpdateResult { device, status });
                     }
                     Frame::DeltaUpdateRequest { device, request } => {
-                        let status = match find_device(devices, device) {
+                        let status = match find_device(devices, &slots, device) {
                             Some(sim) => match sim.apply_delta_update(&request) {
                                 Ok(()) => 0,
                                 Err(err) => update_error_code(&err),
@@ -695,7 +701,7 @@ impl<T: Transport> DeviceAgent<T> {
                         smoke_cycles,
                         challenge,
                     } => {
-                        let reply = match find_device(devices, device) {
+                        let reply = match find_device(devices, &slots, device) {
                             Some(sim) => probe_result(sim, device, mode, smoke_cycles, challenge),
                             None => Frame::DeviceError {
                                 device,
@@ -731,11 +737,23 @@ impl<T: Transport> DeviceAgent<T> {
     }
 }
 
-fn find_device<D: BorrowMut<SimDevice>>(devices: &mut [D], id: u64) -> Option<&mut SimDevice> {
-    devices
-        .iter_mut()
-        .map(BorrowMut::borrow_mut)
-        .find(|device| device.id() == id)
+/// Maps each device id to its slot in `devices`. When an id repeats,
+/// the first occurrence keeps the slot.
+fn device_slots<D: Borrow<SimDevice>>(devices: &[D]) -> HashMap<u64, usize> {
+    let mut slots = HashMap::with_capacity(devices.len());
+    for (slot, device) in devices.iter().enumerate() {
+        slots.entry(device.borrow().id()).or_insert(slot);
+    }
+    slots
+}
+
+fn find_device<'a, D: BorrowMut<SimDevice>>(
+    devices: &'a mut [D],
+    slots: &HashMap<u64, usize>,
+    id: u64,
+) -> Option<&'a mut SimDevice> {
+    let slot = *slots.get(&id)?;
+    Some(devices[slot].borrow_mut())
 }
 
 /// Builds the snapshot reply: patch-range bytes, full-PMEM measurement
