@@ -352,7 +352,7 @@ impl UpdateEngine {
     }
 
     /// Measurement of the PMEM region under an explicit
-    /// [`MeasurementScheme`] — fleets running the incremental Merkle
+    /// [`MeasurementScheme`](crate::MeasurementScheme) — fleets running the incremental Merkle
     /// engine confirm post-update state against the Merkle root rather
     /// than the flat hash. Note that update *payload writes* need no
     /// explicit engine invalidation: [`UpdateEngine::apply`] writes

@@ -18,7 +18,7 @@ pub use builder::DeviceBuilder;
 pub use outcome::RunOutcome;
 
 use eilid_casu::{CasuMonitor, MemoryLayout, Violation};
-use eilid_msp430::{Cpu, StepTrace};
+use eilid_msp430::{Cpu, StepError, StepTrace};
 
 use crate::config::EilidConfig;
 use crate::error::EilidError;
@@ -145,12 +145,23 @@ impl Device {
 
     /// Executes one step and evaluates the monitor over it.
     ///
+    /// This returns a freshly allocated trace per call; the run methods
+    /// reuse one trace for the whole run instead.
+    ///
     /// # Errors
     ///
     /// Returns [`EilidError::Step`] if the core hits an undecodable
     /// instruction word (callers usually map this to
     /// [`RunOutcome::Fault`]).
     pub fn step(&mut self) -> Result<(StepTrace, Option<Violation>), EilidError> {
+        let mut trace = StepTrace::default();
+        let violation = self.step_into(&mut trace)?;
+        Ok((trace, violation))
+    }
+
+    /// [`Device::step`] into a caller-owned trace, every field of which is
+    /// overwritten (see [`Cpu::step_into`]).
+    fn step_into(&mut self, trace: &mut StepTrace) -> Result<Option<Violation>, StepError> {
         // Hardware IRQ gating: interrupts are deferred while trusted
         // software executes in the secure ROM.
         let in_secure = self.layout.in_secure_rom(self.cpu.regs.pc());
@@ -162,12 +173,11 @@ impl Device {
         if let Some(monitor) = &self.monitor {
             self.cpu.set_write_gate_window(monitor.update_window());
         }
-        let trace = self.cpu.step()?;
-        let violation = self
+        self.cpu.step_into(trace)?;
+        Ok(self
             .monitor
             .as_mut()
-            .and_then(|monitor| monitor.check(&trace));
-        Ok((trace, violation))
+            .and_then(|monitor| monitor.check(trace)))
     }
 
     /// Runs until completion, violation, fault or the configured cycle
@@ -184,11 +194,17 @@ impl Device {
     /// Runs while invoking `hook` after every step. The hook receives
     /// mutable access to the core, which is how the attack injectors model
     /// an adversary exploiting a memory-corruption bug at run time.
+    ///
+    /// The whole run records into one [`StepTrace`], overwritten by every
+    /// step, so the run allocates nothing per step. The `&StepTrace` a hook
+    /// receives describes that step only; a hook that needs it later must
+    /// copy what it needs.
     pub fn run_with_hook<F>(&mut self, max_cycles: u64, mut hook: F) -> RunOutcome
     where
         F: FnMut(&mut Cpu, &StepTrace),
     {
         let start_cycles = self.cpu.total_cycles();
+        let mut trace = StepTrace::default();
         loop {
             let elapsed = self.cpu.total_cycles() - start_cycles;
             if self.cpu.peripherals.sim_done() {
@@ -201,23 +217,22 @@ impl Device {
             if elapsed >= max_cycles {
                 return RunOutcome::Timeout { cycles: elapsed };
             }
-            match self.step() {
-                Ok((trace, None)) => hook(&mut self.cpu, &trace),
-                Ok((_, Some(violation))) => {
+            match self.step_into(&mut trace) {
+                Ok(None) => hook(&mut self.cpu, &trace),
+                Ok(Some(violation)) => {
                     let cycles = self.cpu.total_cycles() - start_cycles;
                     // The hardware resets the device; we stop and report so
                     // callers can observe the detection.
                     self.reset();
                     return RunOutcome::Violation { violation, cycles };
                 }
-                Err(EilidError::Step(step_error)) => {
+                Err(step_error) => {
                     let cycles = self.cpu.total_cycles() - start_cycles;
                     return RunOutcome::Fault {
                         pc: step_error.address,
                         cycles,
                     };
                 }
-                Err(_) => unreachable!("Device::step only returns step errors"),
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Cost model for the pluggable [`CryptoProvider`] backends.
+//! Cost model for the pluggable [`CryptoProvider`](eilid_casu::CryptoProvider)
+//! backends.
 //!
 //! The collective-attestation verifier routes its bulk hash/MAC work
 //! through a [`CryptoProvider`](eilid_casu::CryptoProvider); this

@@ -9,7 +9,7 @@
 //!   to policy ablations);
 //! * [`prior_work`] — the published costs of HAFIX, HCFI, Tiny-CFA, ACFA,
 //!   LO-FAT and LiteHAX used in Figure 10;
-//! * [`table1`] — the qualitative CFI/CFA comparison of Table I;
+//! * [`table1`](mod@table1) — the qualitative CFI/CFA comparison of Table I;
 //! * [`crypto`] — the verifier-side cost of the pluggable
 //!   `CryptoProvider` backends (software, batched, simulated
 //!   ECC608-style offload) per sweep, and the operator-verification

@@ -70,6 +70,14 @@ pub enum StepEvent {
 }
 
 /// Full record of the hardware signals produced by one simulator step.
+///
+/// A trace is also a reusable buffer: [`Cpu::step_into`](crate::Cpu::step_into)
+/// overwrites every field of a caller-owned trace and refills its vectors
+/// in place, so a run loop that keeps one trace allocates nothing per
+/// step once the vectors have grown to the largest step seen. Nothing
+/// from an earlier step survives an overwrite; a reference to the trace
+/// describes the latest step only. [`StepTrace::default`] is an empty
+/// buffer to start from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepTrace {
     /// Program counter at the start of the step.
@@ -93,6 +101,25 @@ pub struct StepTrace {
     pub cycles: u64,
     /// Total clock cycles consumed since reset, including this step.
     pub total_cycles: u64,
+}
+
+impl Default for StepTrace {
+    /// An empty trace (an idle step of zero cycles at address 0), to be
+    /// filled by [`Cpu::step_into`](crate::Cpu::step_into).
+    fn default() -> Self {
+        StepTrace {
+            pc: 0,
+            next_pc: 0,
+            event: StepEvent::Idle,
+            instruction: None,
+            instruction_size: 0,
+            fetch_addresses: Vec::new(),
+            reads: Vec::new(),
+            writes: Vec::new(),
+            cycles: 0,
+            total_cycles: 0,
+        }
+    }
 }
 
 impl StepTrace {

@@ -1,20 +1,22 @@
 //! The simulated CPU core.
 //!
 //! [`Cpu`] ties together the register file, the flat memory, the peripheral
-//! page and the interrupt logic, and exposes a [`Cpu::step`] method that
-//! executes one instruction (or accepts one interrupt) and reports the
-//! observable bus activity as a [`StepTrace`]. External monitors — the CASU
-//! hardware and the EILID extension — consume those traces to enforce their
-//! policies, exactly as the real hardware taps the core's bus signals.
+//! page and the interrupt logic, and exposes a [`Cpu::step_into`] method
+//! that executes one instruction (or accepts one interrupt) and records the
+//! observable bus activity into a reusable [`StepTrace`] ([`Cpu::step`]
+//! returns a fresh one). External monitors — the CASU hardware and the
+//! EILID extension — consume those traces to enforce their policies,
+//! exactly as the real hardware taps the core's bus signals.
 
 use serde::{Deserialize, Serialize};
 
 use crate::bus::{AccessKind, MemAccess, StepEvent, StepTrace};
 use crate::cycles::{cycle_count, INTERRUPT_CYCLES};
-use crate::decoder::decode;
+use crate::decoder::decode_instruction;
 use crate::execute::execute;
 use crate::flags::{StatusFlags, Width};
 use crate::gate::WriteGate;
+use crate::instruction::Instruction;
 use crate::memory::Memory;
 use crate::peripherals::Peripherals;
 use crate::registers::RegisterFile;
@@ -76,7 +78,8 @@ pub struct Cpu {
     pending_writes: Vec<MemAccess>,
 }
 
-/// Error returned by [`Cpu::step`] when the instruction stream is invalid.
+/// Error returned by [`Cpu::step`] and [`Cpu::step_into`] when the
+/// instruction stream is invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepError {
     /// Address of the undecodable word.
@@ -274,22 +277,46 @@ impl Cpu {
     /// Executes one step: accepts a pending interrupt if possible, otherwise
     /// executes the instruction at the current program counter.
     ///
+    /// This returns a freshly allocated trace per call; a loop that steps
+    /// many times should hold one trace and call [`Cpu::step_into`].
+    ///
     /// # Errors
     ///
     /// Returns [`StepError`] when the word at the program counter is not a
     /// valid instruction. The core is left unchanged in that case so a
     /// monitor can treat the fault as a violation.
     pub fn step(&mut self) -> Result<StepTrace, StepError> {
+        let mut trace = StepTrace::default();
+        self.step_into(&mut trace)?;
+        Ok(trace)
+    }
+
+    /// Executes one step exactly like [`Cpu::step`], recording it into a
+    /// caller-owned `trace`.
+    ///
+    /// Every field of `trace` is overwritten, whatever the step kind
+    /// (executed, interrupt taken or low-power idle), so nothing from the
+    /// trace's previous step survives. Its vectors are refilled in place:
+    /// the read and write buffers are swapped with the core's own, so both
+    /// keep their capacity, and a loop that reuses one trace allocates
+    /// nothing per step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StepError`] when the word at the program counter is not a
+    /// valid instruction. The core and `trace` are left unchanged in that
+    /// case.
+    pub fn step_into(&mut self, trace: &mut StepTrace) -> Result<(), StepError> {
         let pc = self.regs.pc();
-        self.pending_reads.clear();
-        self.pending_writes.clear();
 
         // Interrupt acceptance: GIE must be set, the IRQ line must not be
         // gated by the hardware monitor, and a peripheral must be requesting
         // service.
         if self.flags().gie() && !self.irq_inhibited {
             if let Some(vector) = self.peripherals.irq_pending() {
-                return Ok(self.take_interrupt(pc, vector));
+                self.take_interrupt(pc, vector);
+                self.record(trace, pc, StepEvent::InterruptTaken { vector }, None, 0);
+                return Ok(());
             }
         }
 
@@ -297,37 +324,20 @@ impl Cpu {
             // CPU is off; burn one cycle waiting for an interrupt.
             self.peripherals.tick(1);
             self.total_cycles += 1;
-            return Ok(StepTrace {
-                pc,
-                next_pc: pc,
-                event: StepEvent::Idle,
-                instruction: None,
-                instruction_size: 0,
-                fetch_addresses: vec![],
-                reads: vec![],
-                writes: vec![],
-                cycles: 1,
-                total_cycles: self.total_cycles,
-            });
+            self.record(trace, pc, StepEvent::Idle, None, 1);
+            return Ok(());
         }
 
-        let decoded = match decode(&self.memory, pc) {
-            Ok(d) => d,
-            Err(_) => {
-                let word = self.memory.read_word(pc);
-                return Err(StepError { address: pc, word });
-            }
+        let Ok((instruction, size_bytes)) = decode_instruction(&self.memory, pc) else {
+            let word = self.memory.read_word(pc);
+            return Err(StepError { address: pc, word });
         };
-        let fetch_addresses: Vec<u16> = (0..decoded.size_bytes)
-            .step_by(2)
-            .map(|o| pc.wrapping_add(o))
-            .collect();
 
         // Advance the PC past the instruction before executing it, so that
         // `call` pushes the correct return address and PC-relative reads see
         // the next instruction's address.
-        self.regs.set_pc(decoded.next_address());
-        execute(self, &decoded.instruction);
+        self.regs.set_pc(pc.wrapping_add(size_bytes));
+        execute(self, &instruction);
 
         // Entering low-power mode happens by setting CPUOFF in SR.
         self.state = if self.flags().cpu_off() {
@@ -336,25 +346,21 @@ impl Cpu {
             CpuState::Running
         };
 
-        let cycles = cycle_count(&decoded.instruction);
+        let cycles = cycle_count(&instruction);
         self.total_cycles += cycles;
         self.peripherals.tick(cycles);
 
-        Ok(StepTrace {
+        self.record(
+            trace,
             pc,
-            next_pc: self.regs.pc(),
-            event: StepEvent::Executed,
-            instruction: Some(decoded.instruction),
-            instruction_size: decoded.size_bytes,
-            fetch_addresses,
-            reads: std::mem::take(&mut self.pending_reads),
-            writes: std::mem::take(&mut self.pending_writes),
+            StepEvent::Executed,
+            Some((instruction, size_bytes)),
             cycles,
-            total_cycles: self.total_cycles,
-        })
+        );
+        Ok(())
     }
 
-    fn take_interrupt(&mut self, pc: u16, vector: u8) -> StepTrace {
+    fn take_interrupt(&mut self, pc: u16, vector: u8) {
         // Hardware interrupt sequence: push PC, push SR, clear SR (which
         // clears GIE and wakes the CPU from low-power mode), load the vector.
         self.push_word(pc);
@@ -373,19 +379,35 @@ impl Cpu {
 
         self.total_cycles += INTERRUPT_CYCLES;
         self.peripherals.tick(INTERRUPT_CYCLES);
+    }
 
-        StepTrace {
-            pc,
-            next_pc: handler,
-            event: StepEvent::InterruptTaken { vector },
-            instruction: None,
-            instruction_size: 0,
-            fetch_addresses: vec![],
-            reads: std::mem::take(&mut self.pending_reads),
-            writes: std::mem::take(&mut self.pending_writes),
-            cycles: INTERRUPT_CYCLES,
-            total_cycles: self.total_cycles,
-        }
+    /// Overwrites every field of `trace` with the step that just ran from
+    /// `pc`. The step's bus accesses move into the trace by swapping
+    /// buffers, and the core's buffers are left empty for the next step.
+    fn record(
+        &mut self,
+        trace: &mut StepTrace,
+        pc: u16,
+        event: StepEvent,
+        executed: Option<(Instruction, u16)>,
+        cycles: u64,
+    ) {
+        let size_bytes = executed.map_or(0, |(_, size)| size);
+        trace.pc = pc;
+        trace.next_pc = self.regs.pc();
+        trace.event = event;
+        trace.instruction = executed.map(|(instruction, _)| instruction);
+        trace.instruction_size = size_bytes;
+        trace.fetch_addresses.clear();
+        trace
+            .fetch_addresses
+            .extend((0..size_bytes).step_by(2).map(|o| pc.wrapping_add(o)));
+        std::mem::swap(&mut self.pending_reads, &mut trace.reads);
+        std::mem::swap(&mut self.pending_writes, &mut trace.writes);
+        self.pending_reads.clear();
+        self.pending_writes.clear();
+        trace.cycles = cycles;
+        trace.total_cycles = self.total_cycles;
     }
 
     /// Runs until the application signals completion through the simulation
@@ -395,11 +417,12 @@ impl Cpu {
     ///
     /// # Errors
     ///
-    /// Propagates [`StepError`] from [`Cpu::step`].
+    /// Propagates [`StepError`] from [`Cpu::step_into`].
     pub fn run(&mut self, max_cycles: u64) -> Result<u64, StepError> {
         let start = self.total_cycles;
+        let mut trace = StepTrace::default();
         while !self.peripherals.sim_done() && self.total_cycles - start < max_cycles {
-            self.step()?;
+            self.step_into(&mut trace)?;
         }
         Ok(self.total_cycles - start)
     }

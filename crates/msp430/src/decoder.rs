@@ -58,10 +58,13 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Fetches the words of one instruction into a fixed buffer: an MSP430
+/// instruction is at most three words (opcode plus two extension words).
 struct WordFetcher<'a> {
     memory: &'a Memory,
     next: u16,
-    words: Vec<u16>,
+    words: [u16; 3],
+    len: usize,
 }
 
 impl<'a> WordFetcher<'a> {
@@ -69,22 +72,27 @@ impl<'a> WordFetcher<'a> {
         WordFetcher {
             memory,
             next: pc,
-            words: Vec::with_capacity(3),
+            words: [0; 3],
+            len: 0,
         }
     }
 
     fn fetch(&mut self) -> u16 {
         let word = self.memory.read_word(self.next);
-        self.words.push(word);
-        let addr = self.next;
+        self.words[self.len] = word;
+        self.len += 1;
         self.next = self.next.wrapping_add(2);
-        let _ = addr;
         word
     }
 
     /// Address of the next word that `fetch` would return.
     fn next_address(&self) -> u16 {
         self.next
+    }
+
+    /// Encoded size in bytes of the words fetched so far.
+    fn size_bytes(&self) -> u16 {
+        (self.len * 2) as u16
     }
 }
 
@@ -111,25 +119,37 @@ impl<'a> WordFetcher<'a> {
 /// ```
 pub fn decode(memory: &Memory, pc: u16) -> Result<Decoded, DecodeError> {
     let mut fetcher = WordFetcher::new(memory, pc);
-    let word = fetcher.fetch();
-
-    let instruction = if word >> 13 == 0b001 {
-        decode_jump(word)
-    } else if word >> 10 == 0b000100 {
-        decode_one_op(word, pc, &mut fetcher)?
-    } else if TwoOpOpcode::from_encoding(word >> 12).is_some() {
-        decode_two_op(word, &mut fetcher)
-    } else {
-        return Err(DecodeError::IllegalOpcode { word, address: pc });
-    };
-
-    let size_bytes = (fetcher.words.len() * 2) as u16;
+    let instruction = decode_fetched(pc, &mut fetcher)?;
     Ok(Decoded {
         instruction,
         address: pc,
-        size_bytes,
-        words: fetcher.words,
+        size_bytes: fetcher.size_bytes(),
+        words: fetcher.words[..fetcher.len].to_vec(),
     })
+}
+
+/// The simulator's decode: the instruction at `pc` and its encoded size
+/// in bytes, without collecting the raw words.
+pub(crate) fn decode_instruction(
+    memory: &Memory,
+    pc: u16,
+) -> Result<(Instruction, u16), DecodeError> {
+    let mut fetcher = WordFetcher::new(memory, pc);
+    let instruction = decode_fetched(pc, &mut fetcher)?;
+    Ok((instruction, fetcher.size_bytes()))
+}
+
+fn decode_fetched(pc: u16, fetcher: &mut WordFetcher<'_>) -> Result<Instruction, DecodeError> {
+    let word = fetcher.fetch();
+    if word >> 13 == 0b001 {
+        Ok(decode_jump(word))
+    } else if word >> 10 == 0b000100 {
+        decode_one_op(word, pc, fetcher)
+    } else if TwoOpOpcode::from_encoding(word >> 12).is_some() {
+        Ok(decode_two_op(word, fetcher))
+    } else {
+        Err(DecodeError::IllegalOpcode { word, address: pc })
+    }
 }
 
 fn decode_jump(word: u16) -> Instruction {

@@ -450,8 +450,8 @@ impl Session {
 ///
 /// This server has no push plane or campaign engine: operator frames
 /// and attach registrations are answered with a typed `Unsupported`
-/// (drive campaigns over the wire through the TCP [`Gateway`]
-/// (crate::Gateway)); stray device-plane replies are dropped, exactly
+/// (drive campaigns over the wire through the TCP
+/// [`Gateway`](crate::Gateway)); stray device-plane replies are dropped, exactly
 /// as the gateway drops them when no campaign is in flight.
 ///
 /// Returns when the peer says [`Frame::Bye`], hangs up, or breaks the
